@@ -265,9 +265,6 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (ConfigError, InvalidParameterError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_CONFIG
     except KorobovError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_CONFIG

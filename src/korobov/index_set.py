@@ -3,19 +3,24 @@
 The frequencies h with weight omega**E(h) above a threshold are exactly
 those with E(h) = sum_j a_j*|h_j|**b_j below a budget x; the budget that
 corresponds to accuracy eps is log(eps^-2)/log(omega^-1).  Cardinalities
-are computed by a dimension recurrence, members by a matching recursive
-enumeration, and both sides are bracketed by closed-form products.
+are computed by a dimension recurrence, members by a matching walk, and
+both sides are bracketed by closed-form products.
 
-All threshold comparisons happen in exponent space with a strict ``<``
-and no epsilon: forming omega**(-huge) would overflow, and a silent
-tolerance would desynchronize counting from enumeration.  Callers who
-want boundary robustness perturb x themselves.
+Every threshold decision in the package is made here, by one
+arithmetic: E(h) is accumulated left to right over coordinates 1..s,
+and each test compares that one float with the budget by a strict
+``<`` and no epsilon.  Counting, enumeration, membership, spectra and
+the dual-lattice window therefore agree exactly, also on budgets that
+sit on a lattice exponent.  Float addition and the term a*|h|**b are
+monotone, so a walk that prunes at the first partial sum reaching x
+visits exactly the frequencies whose full sum stays below x.  Forming
+omega**(-huge) would overflow, so nothing leaves exponent space.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 from .errors import CapExceeded, InvalidParameterError
@@ -42,16 +47,11 @@ def weight_exponent(params: KorobovParams, h: Sequence[int]) -> float:
     Work in this exponent and compare exponents directly; never form
     omega**(-E) for large E.
     """
-    av, bv = a_values(params), b_values(params)
     if len(h) != params.s:
         raise InvalidParameterError(
             "term_undefined", f"frequency has length {len(h)}, expected {params.s}"
         )
-    total = 0.0
-    for hj, aj, bj in zip(h, av, bv):
-        if hj:
-            total += _pow_term(aj, hj, bj)
-    return total
+    return _exponent(a_values(params), b_values(params), h)
 
 
 def exponent_budget(omega: float, eps: float) -> float:
@@ -75,50 +75,58 @@ def _pow_term(a: float, h: int, b: float) -> float:
         return math.inf
 
 
-def _max_h_below(a: float, b: float, x: float) -> int:
-    """Largest integer h >= 1 with a*h**b < x, or 0 when none exists.
+def _exponent(av: Sequence[float], bv: Sequence[float], h: Sequence[int]) -> float:
+    """E(h) accumulated left to right over the coordinates: the float
+    that every threshold decision compares."""
+    acc = 0.0
+    for hj, a, b in zip(h, av, bv):
+        if hj:
+            acc += _pow_term(a, hj, b)
+    return acc
 
-    A float guess from the inverted closed form is corrected by direct
-    strict comparisons, so the boundary is decided by the same arithmetic
-    used everywhere else.
+
+def _reach(a: float, b: float, acc: float, x: float) -> int:
+    """Largest h >= 0 with acc + a*h**b < x, for a partial sum acc < x.
+
+    A float guess from the inverted closed form is corrected by the
+    strict comparison itself, so the boundary is decided by exactly the
+    sum that ``_exponent`` forms.
     """
-    if not (a < x):
+    if not (acc + a < x):
         return 0
-    k = max(1, int(math.floor((x / a) ** (1.0 / b))))
-    while _pow_term(a, k + 1, b) < x:
+    k = max(1, int(((x - acc) / a) ** (1.0 / b)))
+    while acc + _pow_term(a, k + 1, b) < x:
         k += 1
-    while k >= 1 and not (_pow_term(a, k, b) < x):
+    while k > 1 and not (acc + _pow_term(a, k, b) < x):
         k -= 1
     return k
 
 
 def _count(av: Sequence[float], bv: Sequence[float], x: float) -> int:
-    """|{h in Z^s : sum a_j|h_j|^{b_j} < x}| by recursion over dimensions.
+    """|{h in Z^s : E(h) < x}| by a forward recursion over coordinates.
 
-    Identical float keys mean identical subproblems, so memoizing on the
-    remaining budget is always sound.
+    A subproblem is fixed by the partial sum of the coordinates already
+    chosen and the next coordinate, so memoizing on (acc, dim) is sound;
+    the last coordinate is closed by ``_reach``.
     """
+    x = float(x)
+    last = len(av) - 1
     memo: dict[tuple[float, int], int] = {}
 
-    def rec(budget: float, dim: int) -> int:
-        if budget <= 0.0:
-            return 0
-        if dim == 0:
-            return 1
-        a, b = av[dim - 1], bv[dim - 1]
-        if dim == 1:
-            return 2 * _max_h_below(a, b, budget) + 1
-        key = (budget, dim)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        total = rec(budget, dim - 1)
-        for h in range(1, _max_h_below(a, b, budget) + 1):
-            total += 2 * rec(budget - a * float(h) ** b, dim - 1)
-        memo[key] = total
+    def rec(acc: float, dim: int) -> int:
+        a, b = av[dim], bv[dim]
+        if dim == last:
+            return 2 * _reach(a, b, acc, x) + 1
+        key = (acc, dim)
+        total = memo.get(key)
+        if total is None:
+            total = rec(acc, dim + 1)
+            for h in range(1, _reach(a, b, acc, x) + 1):
+                total += 2 * rec(acc + _pow_term(a, h, b), dim + 1)
+            memo[key] = total
         return total
 
-    return rec(float(x), len(av))
+    return rec(0.0, 0) if x > 0.0 else 0
 
 
 def count_below(params: KorobovParams, x: float) -> int:
@@ -129,28 +137,35 @@ def count_below(params: KorobovParams, x: float) -> int:
     return _count(a_values(params), b_values(params), x)
 
 
-def _enumerate(av: Sequence[float], bv: Sequence[float], x: float) -> list[tuple[int, ...]]:
+def _enumerate(
+    av: Sequence[float], bv: Sequence[float], x: float
+) -> list[tuple[float, tuple[int, ...]]]:
+    """(E(h), h) for every h with E(h) < x, in walk order: coordinate 1
+    outermost, each coordinate taking 0, -1, 1, -2, 2, ... in turn.
+
+    The exponents are the partial sums of the walk, bit-identical to
+    ``_exponent(av, bv, h)``.
+    """
+    x = float(x)
     s = len(av)
-    out: list[tuple[int, ...]] = []
+    out: list[tuple[float, tuple[int, ...]]] = []
     prefix = [0] * s
 
-    def rec(budget: float, dim: int) -> None:
-        # Fills coordinates dim..s with every admissible tail.
-        if dim > s:
-            out.append(tuple(prefix))
+    def rec(acc: float, dim: int) -> None:
+        if dim == s:
+            out.append((acc, tuple(prefix)))
             return
-        a, b = av[dim - 1], bv[dim - 1]
-        prefix[dim - 1] = 0
-        rec(budget, dim + 1)
-        for h in range(1, _max_h_below(a, b, budget) + 1):
-            rest = budget - a * float(h) ** b
-            for sign in (-1, 1):
-                prefix[dim - 1] = sign * h
-                rec(rest, dim + 1)
-        prefix[dim - 1] = 0
+        a, b = av[dim], bv[dim]
+        rec(acc, dim + 1)
+        for h in range(1, _reach(a, b, acc, x) + 1):
+            e = acc + _pow_term(a, h, b)
+            for signed in (-h, h):
+                prefix[dim] = signed
+                rec(e, dim + 1)
+        prefix[dim] = 0
 
     if x > 0.0:
-        rec(float(x), 1)
+        rec(0.0, 0)
     return out
 
 
@@ -159,23 +174,25 @@ class IndexSet:
     """Enumerated {h : exponent(h) < threshold} with its exact count.
 
     Members are listed by nondecreasing exponent, ties broken by plain
-    lexicographic order on the component vector (negatives first).
+    lexicographic order on the component vector (negatives first);
+    ``member_exponents`` holds E(h) for each member, in the same order.
     """
 
     params: KorobovParams
     threshold: float
     members: tuple[tuple[int, ...], ...]
     count: int
+    member_exponents: tuple[float, ...] = field(repr=False, compare=False)
 
     def __post_init__(self):
-        if self.count != len(self.members):
+        if not (self.count == len(self.members) == len(self.member_exponents)):
             raise ValueError("count does not match the member list")
 
     def __contains__(self, h) -> bool:
         return weight_exponent(self.params, h) < self.threshold
 
     def exponents(self) -> list[float]:
-        return [weight_exponent(self.params, h) for h in self.members]
+        return list(self.member_exponents)
 
 
 def enumerate_below(
@@ -189,9 +206,15 @@ def enumerate_below(
     total = count_below(params, x)
     if total > cap:
         raise CapExceeded("index set size", cap, needed=total)
-    members = _enumerate(a_values(params), b_values(params), x)
-    members.sort(key=lambda h: (weight_exponent(params, h), h))
-    return IndexSet(params=params, threshold=float(x), members=tuple(members), count=len(members))
+    pairs = _enumerate(a_values(params), b_values(params), x)
+    pairs.sort()
+    return IndexSet(
+        params=params,
+        threshold=float(x),
+        members=tuple(h for _, h in pairs),
+        count=len(pairs),
+        member_exponents=tuple(e for e, _ in pairs),
+    )
 
 
 def last_active_coordinate(params: KorobovParams, x: float) -> float:

@@ -52,10 +52,10 @@ def integrate(rule: GridRule, f: FourierPolynomial, cap_n: int = DEFAULT_GRID_CA
     return sample_mean(rule.grid, f, cap=cap_n)
 
 
-def _dual_exponents(
+def _dual_window(
     params: KorobovParams, grid: RegularGrid, trunc_x: float, cap: int
-) -> list[float]:
-    """Exponents of the nonzero dual-lattice points below trunc_x.
+) -> list[tuple[float, tuple[int, ...]]]:
+    """(exponent, k) for the nonzero dual-lattice points m*k below trunc_x.
 
     A dual point is (m_1*k_1, ..., m_s*k_s), so its exponent equals the
     exponent of k under the rescaled weights a_j * m_j**b_j; the counting
@@ -66,12 +66,7 @@ def _dual_exponents(
     total = _count(scaled, bv, trunc_x)
     if total > cap:
         raise CapExceeded("dual lattice window", cap, needed=total)
-    members = _enumerate(scaled, bv, trunc_x)
-    out = []
-    for k in members:
-        if any(k):
-            out.append(sum(a * float(abs(kj)) ** b for kj, a, b in zip(k, scaled, bv) if kj))
-    return out
+    return [(e, k) for e, k in _enumerate(scaled, bv, trunc_x) if any(k)]
 
 
 def worst_case_int_error(
@@ -92,7 +87,7 @@ def worst_case_int_error(
     if rule.grid.s != params.s:
         raise InvalidParameterError("term_undefined", "grid dimension mismatch")
     log_w = -params.log_inv_omega
-    low = sum(math.exp(e * log_w) for e in _dual_exponents(params, rule.grid, trunc_x, cap))
+    low = sum(math.exp(e * log_w) for e, _ in _dual_window(params, rule.grid, trunc_x, cap))
 
     av, bv = a_values(params), b_values(params)
     total_upper = 1.0
@@ -125,20 +120,12 @@ def extremal_integrand(
 ) -> FourierPolynomial:
     """Unit-ball element attaining the truncated worst-case error:
     coefficients proportional to the dual-lattice weights."""
-    av, bv = a_values(params), b_values(params)
-    scaled = tuple(a * float(m) ** b for a, b, m in zip(av, bv, rule.grid.mesh))
-    if _count(scaled, bv, trunc_x) > cap:
-        raise CapExceeded("dual lattice window", cap, needed=_count(scaled, bv, trunc_x))
-    members = _enumerate(scaled, bv, trunc_x)
-    log_w = -params.log_inv_omega
-    weights = {}
-    for k in members:
-        if not any(k):
-            continue
-        l = tuple(kj * m for kj, m in zip(k, rule.grid.mesh))
-        weights[l] = math.exp(sum(a * float(abs(kj)) ** b for kj, a, b in zip(k, scaled, bv) if kj) * log_w)
-    if not weights:
+    window = _dual_window(params, rule.grid, trunc_x, cap)
+    if not window:
         raise InvalidParameterError("term_undefined", "no dual-lattice point below trunc_x")
+    log_w = -params.log_inv_omega
+    mesh = rule.grid.mesh
+    weights = {tuple(kj * m for kj, m in zip(k, mesh)): math.exp(e * log_w) for e, k in window}
     scale = 1.0 / math.sqrt(sum(weights.values()))
     return FourierPolynomial(params, {l: w * scale for l, w in weights.items()})
 

@@ -63,12 +63,6 @@ class Interval:
         return Interval(1.0 / self.hi, 1.0 / self.lo)
 
 
-def _checked_term(value: float) -> float:
-    # Terms may overflow to inf for huge indices; inf compares correctly
-    # everywhere a term is used (it is never below any finite threshold).
-    return value
-
-
 class SequenceFamily:
     """A closed-form sequence j -> term(j), j = 1, 2, ...
 
@@ -161,7 +155,7 @@ class PowerFamily(SequenceFamily):
     def term(self, j: int) -> float:
         self._require_index(j)
         try:
-            return _checked_term(self.c * float(j) ** self.k)
+            return self.c * float(j) ** self.k
         except OverflowError:
             return INFINITE
 
@@ -218,7 +212,7 @@ class GeometricFamily(SequenceFamily):
     def term(self, j: int) -> float:
         self._require_index(j)
         try:
-            return _checked_term(self.c * self.r**j)
+            return self.c * self.r**j
         except OverflowError:
             return INFINITE
 
@@ -269,7 +263,7 @@ class ExponentialFamily(SequenceFamily):
     def term(self, j: int) -> float:
         self._require_index(j)
         try:
-            return _checked_term(self.c * math.exp(self.alpha * j))
+            return self.c * math.exp(self.alpha * j)
         except OverflowError:
             return INFINITE
 

@@ -29,13 +29,7 @@ from .grids import (
     aliased_coefficients,
     dual_weight_sum,
 )
-from .index_set import (
-    DEFAULT_SET_CAP,
-    IndexSet,
-    _max_h_below,
-    enumerate_below,
-    weight_exponent,
-)
+from .index_set import DEFAULT_SET_CAP, IndexSet, _pow_term, _reach, enumerate_below
 from .params import KorobovParams, a_values, b_values
 from .space import FourierPolynomial
 
@@ -140,62 +134,65 @@ def error_upper_bound(alg: StdAlgorithm, tol: float = 1e-14) -> float:
     return math.sqrt(1.0 / alg.M + alg.M ** (b_sum + 1.0) * d * f_sum)
 
 
-def _shifted_dual_sum(
-    omega: float, a: float, b: float, m: int, residue: int, tol: float
-) -> float:
-    """sum over l in Z of omega**(a*|residue + m*l|**b), residue in [0, m).
+def _coset_rest(log_w: float, a: float, b: float, m: int, h: int, tol: float) -> float:
+    """sum over l != 0 of omega**(a*|h + m*l|**b), an upper value within
+    relative tol of the true sum.
 
-    Includes l = 0.  Split into the two arithmetic progressions going up
-    and down; each is dominated by a geometric series of ratio
-    omega**(a*m**b), which certifies the truncation; the tail bounds are
-    added so the result is an upper value within tol of the true sum.
+    Once m*l >= |h|, both progressions |h| + m*l and m*l - |h| grow by m
+    per step, and (p + m*k)**b >= p**b + m**b * k for b >= 1, so all
+    terms after step l sum to at most the two terms at l times q/(1-q),
+    q = omega**(a*m**b).  That tail is added, and the sum stops once it
+    is below tol times the partial sum.
     """
-    log_w = math.log(omega)
     q = math.exp(a * float(m) ** b * log_w)
-    total = math.exp(a * float(residue) ** b * log_w) if residue else 1.0
-    k = 0
+    ratio = q / (1.0 - q)
+    r = abs(h)
+    total = 0.0
+    l = 0
     while True:
-        k += 1
-        up = math.exp(a * float(residue + m * k) ** b * log_w)
-        down = math.exp(a * float(m * k - residue) ** b * log_w) if residue else up
-        total += up + down
-        # (m*k')**b >= m**b * k' bounds both progressions from k' > k on.
-        tail = 2.0 * q**k * q / (1.0 - q) + (2.0 * q ** (k - 1) * q / (1.0 - q) if residue else 0.0)
-        if tail < tol:
-            return total + tail
+        l += 1
+        last = math.exp(_pow_term(a, r + m * l, b) * log_w) + math.exp(
+            _pow_term(a, m * l - r, b) * log_w
+        )
+        total += last
+        if m * l >= r and last * ratio <= tol * total:
+            return total + last * ratio
 
 
 def gen_error_bound(alg: StdAlgorithm, tol: float = 1e-13) -> float:
     """Sharper ceiling sqrt(1/M + sum_{h in A} aliasing weight of h).
 
     The aliasing weight of h is the sum over the nonzero dual lattice of
-    the weights at h + l, evaluated exactly (up to certified series
-    tails) instead of through the closed-form product relaxation.
+    the weights at h + l.  It factors over coordinates as
+    prod_j (own_j + rest_j) - prod_j own_j, with own_j the weight of h_j
+    and rest_j the rest of its coset; it is formed without that
+    subtraction, as omega**E(h) * sum_j rho_j * prod_{i<j} (1 + rho_i)
+    with rho_j = rest_j / own_j, so rounding stays relative to each
+    term.  Each rest_j is an upper value within relative ``tol``.
     """
     params = alg.params
     av, bv = a_values(params), b_values(params)
     mesh = alg.grid.mesh
-    members = alg.index_set.members
-    per_site = tol / (4.0 * max(1, len(members)) * params.s)
+    log_w = -params.log_inv_omega
     cache: dict[tuple[int, int], float] = {}
 
-    def site(j: int, component: int) -> float:
-        r = component % mesh[j]
-        key = (j, r)
+    def rho(j: int, hj: int) -> float:
+        key = (j, abs(hj))
         got = cache.get(key)
         if got is None:
-            got = _shifted_dual_sum(params.omega, av[j], bv[j], mesh[j], r, per_site)
+            own = math.exp(_pow_term(av[j], hj, bv[j]) * log_w)
+            got = _coset_rest(log_w, av[j], bv[j], mesh[j], hj, tol) / own
             cache[key] = got
         return got
 
-    log_w = -params.log_inv_omega
     alias_total = 0.0
-    for h in members:
-        product = 1.0
+    for e, h in zip(alg.index_set.member_exponents, alg.index_set.members):
+        grown, spill = 1.0, 0.0
         for j, hj in enumerate(h):
-            product *= site(j, hj)
-        own = math.exp(weight_exponent(params, h) * log_w)
-        alias_total += max(product - own, 0.0)
+            r = rho(j, hj)
+            spill += r * grown
+            grown *= 1.0 + r
+        alias_total += math.exp(e * log_w) * spill
     return math.sqrt(1.0 / alg.M + alias_total)
 
 
@@ -311,7 +308,7 @@ def threshold_algorithm(
     alg = build_std_algorithm(params, M, grid, cap_set=cap_set)
     av, bv = a_values(params), b_values(params)
     for j, m in enumerate(grid.mesh):
-        reach = _max_h_below(av[j], bv[j], alg.threshold)
+        reach = _reach(av[j], bv[j], 0.0, alg.threshold)
         if not reach < (m + 1) / 2:
             raise RuntimeError(
                 f"mesh rule violated containment: coordinate {j+1} reaches |h|={reach} "
@@ -390,10 +387,10 @@ def exact_worst_case_error(
     mesh = alg.grid.mesh
     log_w = -params.log_inv_omega
 
-    cosets: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    for h in window.members:
+    cosets: dict[tuple[int, ...], list[float]] = {}
+    for e, h in zip(window.member_exponents, window.members):
         key = tuple(hj % m for hj, m in zip(h, mesh))
-        cosets.setdefault(key, []).append(h)
+        cosets.setdefault(key, []).append(e)
 
     worst = 0.0
     largest = 0
@@ -404,10 +401,10 @@ def exact_worst_case_error(
         largest = max(largest, size)
         if size > coset_cap:
             raise CapExceeded("coset matrix dimension", coset_cap, needed=size)
-        exponents = np.array([weight_exponent(params, h) for h in group])
+        exponents = np.array(group)
         w = np.exp(0.5 * exponents * log_w)
         low_weight_total += float(np.sum(np.exp(exponents * log_w)))
-        kept = np.array([e < kept_threshold for e in exponents], dtype=float)
+        kept = (exponents < kept_threshold).astype(float)
         if size == 1:
             # kept singleton reproduces itself exactly; a discarded one
             # leaks its own mass

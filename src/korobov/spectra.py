@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import InvalidParameterError
-from .index_set import _pow_term, count_below, exponent_budget, weight_exponent
+from .index_set import _exponent, count_below, exponent_budget, weight_exponent
 from .params import KorobovParams, a_values, b_values
 from .space import FourierPolynomial
 
@@ -72,10 +72,6 @@ def top_eigenvalues(params: KorobovParams, k: int) -> Spectrum:
     av, bv = a_values(params), b_values(params)
     s = params.s
     log_w = -params.log_inv_omega
-
-    def exponent_of(m: tuple[int, ...]) -> float:
-        return sum(_pow_term(a, v, b) for v, a, b in zip(m, av, bv) if v)
-
     origin = (0,) * s
     heap: list[tuple[float, tuple[int, ...]]] = [(0.0, origin)]
     seen = {origin}
@@ -91,7 +87,7 @@ def top_eigenvalues(params: KorobovParams, k: int) -> Spectrum:
                 bumped = m[:j] + (m[j] + 1,) + m[j + 1 :]
                 if bumped not in seen:
                     seen.add(bumped)
-                    heapq.heappush(heap, (exponent_of(bumped), bumped))
+                    heapq.heappush(heap, (_exponent(av, bv, bumped), bumped))
         signed: list[tuple[int, ...]] = []
         for m in group:
             live = [j for j in range(s) if m[j]]

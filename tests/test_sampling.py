@@ -10,6 +10,7 @@ from korobov.index_set import enumerate_below, weight_exponent
 from korobov.params import ConstantFamily, ExplicitFamily, KorobovParams, validate
 from korobov.sampling import (
     ErrorReport,
+    accuracy_algorithm,
     apply_algorithm,
     build_std_algorithm,
     error_report,
@@ -124,6 +125,21 @@ def test_oracle_below_bounds_random(rng):
         upper = error_upper_bound(alg)
         assert oracle.value <= gen + 1e-9
         assert gen <= upper + 1e-9
+
+
+@pytest.mark.parametrize("eps", [1e-2, 1e-4, 1e-6, 1e-8])
+def test_bound_chain_at_small_eps(eps):
+    # criterion 08's chain oracle <= aliasing-sum ceiling <= closed form,
+    # down to eps where the kept set has thousands of members and each
+    # aliasing weight is ~1e-16 of the member's own weight
+    p = make_params(0.5, (1, 1.2), (1, 1.1))
+    alg = accuracy_algorithm(p, eps)
+    oracle = exact_worst_case_error(alg, tight_trunc(alg, digits=8), coset_cap=4000)
+    middle = gen_error_bound(alg)
+    upper = error_upper_bound(alg)
+    assert oracle.value <= middle * (1 + 1e-9) + 1e-12
+    assert middle <= upper * (1 + 1e-9) + 1e-12
+    assert middle <= eps
 
 
 def test_oracle_rejects_bad_truncation():
