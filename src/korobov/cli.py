@@ -254,7 +254,11 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--cap-n", dest="cap_n", type=int, default=10**6, help="grid size cap")
         p.add_argument("--cap-set", dest="cap_set", type=int, default=10**6, help="index set cap")
         p.add_argument(
-            "--coset-cap", dest="coset_cap", type=int, default=2000, help="oracle coset matrix cap"
+            "--coset-cap",
+            dest="coset_cap",
+            type=int,
+            default=2000,
+            help="largest dual-lattice coset the oracle accepts",
         )
         p.set_defaults(handler=handler)
     return parser

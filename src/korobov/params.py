@@ -20,6 +20,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Union
 
+import numpy as np
+
 from .errors import ConfigError, InvalidParameterError, UndecidableTail
 
 __all__ = [
@@ -40,6 +42,7 @@ __all__ = [
 ]
 
 INFINITE = math.inf
+_U = 2.0**-53  # unit roundoff of float64
 
 
 @dataclass(frozen=True)
@@ -61,6 +64,12 @@ class Interval:
         if self.is_infinite:
             return Interval(0.0, 0.0)
         return Interval(1.0 / self.hi, 1.0 / self.lo)
+
+
+def _outward(lo: float, hi: float) -> Interval:
+    """Interval(lo, hi) with both ends moved one ulp outward, which covers
+    the rounding of the last operation that formed each."""
+    return Interval(math.nextafter(lo, -INFINITE), math.nextafter(hi, INFINITE))
 
 
 class SequenceFamily:
@@ -176,12 +185,17 @@ class PowerFamily(SequenceFamily):
         # Partial sum plus integral bracket for the tail:
         # int_{N+1}^inf t^-k dt <= sum_{j>N} j^-k <= int_N^inf t^-k dt.
         n_partial = max(start, 100_000)
-        partial = 0.0
-        for j in range(start, n_partial + 1):
-            partial += 1.0 / self.term(j)
+        with np.errstate(over="ignore"):
+            terms = 1.0 / (self.c * np.arange(start, n_partial + 1, dtype=float) ** self.k)
+        partial = math.fsum(terms.tolist())
         tail_hi = n_partial ** (1.0 - self.k) / (self.c * (self.k - 1.0))
         tail_lo = (n_partial + 1.0) ** (1.0 - self.k) / (self.c * (self.k - 1.0))
-        return Interval(partial + tail_lo, partial + tail_hi)
+        # Each term carries at most four roundings (power, product,
+        # quotient) and fsum one more; a tail end's power j**(1-k) is off by
+        # |(1-k) log j| units from the rounded exponent, plus four roundings.
+        tail_err = (abs((1.0 - self.k) * math.log(n_partial + 1.0)) + 8.0) * _U * tail_hi
+        err = 8.0 * _U * partial + tail_err
+        return _outward(partial + tail_lo - err, partial + tail_hi + err)
 
     def min_term_overall(self) -> float:
         return self.c if self.k >= 0 else 0.0
@@ -357,9 +371,9 @@ class ExplicitFamily(SequenceFamily):
         raise UndecidableTail("growth rate of an explicit family without a tail rule")
 
     def reciprocal_sum(self, start: int = 1) -> Interval:
-        head = 0.0
-        for j in range(start, len(self.values) + 1):
-            head += 1.0 / self.values[j - 1]
+        # each reciprocal is rounded once and fsum rounds once more
+        head = math.fsum(1.0 / v for v in self.values[start - 1 :])
+        err = 2.0 * _U * head
         tail_start = max(start, len(self.values) + 1)
         if self.tail == "repeat":
             return Interval(INFINITE, INFINITE)
@@ -367,7 +381,7 @@ class ExplicitFamily(SequenceFamily):
             tail = self.tail.reciprocal_sum(tail_start)
             if tail.is_infinite:
                 return tail
-            return Interval(head + tail.lo, head + tail.hi)
+            return _outward(head - err + tail.lo, head + err + tail.hi)
         raise UndecidableTail("reciprocal sum of an explicit family without a tail rule")
 
     def min_term_overall(self) -> float:

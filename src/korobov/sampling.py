@@ -9,9 +9,11 @@ splits into the truncation mass outside A plus that aliasing mass.
 Two mesh selection rules are provided: one that guarantees a target
 accuracy eps with n growing polylogarithmically in 1/eps, and an odd
 weight-adapted rule whose mesh sizes collapse to 1 as the coordinate
-weights grow.  An exact worst-case-error oracle via per-coset singular
-values certifies both, with the neglected tail reported as explicit
-slack, never absorbed.
+weights grow.  An exact worst-case-error oracle certifies both: it
+brackets the top singular value of every dual-lattice coset's error
+matrix by bisection on an inertia count that costs two sums per probe,
+run on all cosets at once, so no matrix is formed.  The bisection gap
+and the neglected tail are reported as explicit slack, never absorbed.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import math
 from dataclasses import dataclass
 import numpy as np
 
-from ._series import truncated_weight_sum
+from ._series import weight_sum_upper
 from .errors import CapExceeded, InvalidParameterError
 from .grids import (
     DEFAULT_GRID_CAP,
@@ -357,6 +359,207 @@ def default_truncation(alg: StdAlgorithm) -> float:
     return 2.5 * alg.threshold
 
 
+_U = 2.0**-53  # unit roundoff of float64
+# The bisection stops once hi <= lo * (1 + _BRACKET_RTOL), a few ulps.
+_BRACKET_RTOL = 2.0**-50
+# Where a probe lands between lo and hi: the geometric midpoint (entry
+# 0), then, after an undecided probe, the points a quarter and three
+# quarters of the way; once they are used up the group keeps its
+# certified bracket.
+_RETRY_AT = np.array([0.5, 0.25, 0.75])
+_MAX_PROBES = 200
+
+
+def _top_sq_brackets(
+    sq: np.ndarray, kept: np.ndarray, ids: np.ndarray, n_groups: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Certified brackets lo <= sigma_max(M_g)**2 <= hi for every group g.
+
+    Group g holds the entries with ids == g, stored contiguously, kept
+    entries first and each part with sq descending (a coset sorted by
+    exponent is).  Its matrix is
+    M = D - k w^T with w = sqrt(sq), D = diag(w), k the 0/1 kept mask and
+    p = |kept|, so M^T M = D**2 + V C V^T with V = [D k, w] and
+    C = [[0, -1], [-1, p]].  Haynsworth inertia additivity on
+    [[D**2 - lam, V], [V^T, -C^-1]] gives, for lam off the poles w_i**2,
+
+        #{eig(M^T M) > lam} = #{i : w_i**2 > lam} + pos(S) - 1,
+        S = [[p - alpha, 1 - alpha], [1 - alpha, -alpha - beta]],
+
+    with alpha and beta the sums of w_i**2 / (w_i**2 - lam) over the kept
+    and the discarded entries, so det S = alpha beta - (p - 2) alpha - p beta - 1.
+    A probe costs those sums, taken for every live group at once with
+    the absolute rounding bound (n + 4) * u * sum|terms|; it moves lo or hi
+    only when the signs of det S and S_11 are certified, and an undecided
+    probe is retried at two other points before the group stops.
+
+    lo starts at the largest row or column norm**2 (a Rayleigh quotient),
+    hi at 2 * ||M||_F**2; a group without kept entries is diagonal and
+    exact.  A group whose hi falls below the largest lo cannot hold the
+    maximum and stops early with a valid but wider bracket.
+    """
+    size = np.bincount(ids, minlength=n_groups)
+    start = np.cumsum(size) - size
+    p = np.bincount(ids, weights=kept, minlength=n_groups)
+    n = size.astype(float)
+    kept_sq = np.where(kept, sq, 0.0)
+    kept_total = np.bincount(ids, weights=kept_sq, minlength=n_groups)
+    disc_total = np.bincount(ids, weights=sq - kept_sq, minlength=n_groups)
+    n_kept = p.astype(np.int64)
+    has_kept = n_kept > 0
+    kept_max = np.where(has_kept, sq[start], 0.0)
+    kept_min = np.where(has_kept, sq[start + np.maximum(n_kept - 1, 0)], 0.0)
+    disc_max = np.where(n_kept < size, sq[np.minimum(start + n_kept, sq.size - 1)], 0.0)
+
+    # Rayleigh quotients, each rounded down: discarded rows (w_i**2),
+    # discarded and kept columns ((p +- 1) w_j**2) and the lightest kept
+    # row (sum of the other w_j**2).
+    down = 1.0 - 4.0 * _U
+    kept_row = (kept_total - kept_min) + disc_total - (n + 2.0) * _U * (kept_total + disc_total)
+    lo = np.maximum.reduce(
+        [
+            disc_max,
+            disc_max * (p + 1.0) * down,
+            kept_max * (p - 1.0) * down,
+            np.where(has_kept, kept_row, 0.0),
+        ]
+    )
+    # ||M||_F**2 = (p - 1) * kept total + (p + 1) * discarded total, with a
+    # rounding error far below the factor 2.
+    hi = np.where(has_kept, 2.0 * ((p - 1.0) * kept_total + (p + 1.0) * disc_total), disc_max)
+
+    # Arrays of the live groups and their entries, kept and discarded
+    # apart; k_id and d_id index the live groups.
+    groups, p_l, scale = np.arange(n_groups), p, (n + 4.0) * _U
+    lo_l, hi_l, tries = lo.copy(), hi.copy(), np.zeros(n_groups, dtype=np.int64)
+    k_sq, k_id = sq[kept], ids[kept]
+    d_sq, d_id = sq[~kept], ids[~kept]
+    floor = float(lo.max(initial=0.0))
+
+    for _ in range(_MAX_PROBES):
+        live = (hi_l > lo_l * (1.0 + _BRACKET_RTOL)) & (hi_l >= floor) & (tries < _RETRY_AT.size)
+        if not live.all():
+            local = np.cumsum(live) - 1
+            keep_k, keep_d = live[k_id], live[d_id]
+            k_sq, k_id = k_sq[keep_k], local[k_id[keep_k]]
+            d_sq, d_id = d_sq[keep_d], local[d_id[keep_d]]
+            groups, p_l, scale = groups[live], p_l[live], scale[live]
+            lo_l, hi_l, tries = lo_l[live], hi_l[live], tries[live]
+        if groups.size == 0:
+            break
+        m = groups.size
+        mid = np.where(lo_l > 0.0, np.sqrt(lo_l) * np.sqrt(hi_l), 0.5 * hi_l)
+        lam = np.where(tries == 0, mid, lo_l + _RETRY_AT[tries] * (hi_l - lo_l))
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            lam_k = lam[k_id]
+            gap_k = k_sq - lam_k
+            t_k = k_sq / gap_k
+            r_k = lam_k / gap_k  # t_k - 1, without its cancellation
+            t_d = d_sq / (d_sq - lam[d_id])
+            alpha = np.bincount(k_id, weights=t_k, minlength=m)
+            shift = np.bincount(k_id, weights=r_k, minlength=m)  # alpha - p
+            beta = np.bincount(d_id, weights=t_d, minlength=m)
+            err_a = scale * np.bincount(k_id, weights=np.abs(t_k), minlength=m)
+            err_s = scale * np.bincount(k_id, weights=np.abs(r_k), minlength=m)
+            # lam > lo >= (p + 1) * max discarded w**2, so every discarded
+            # term is negative and |beta| is the sum of their magnitudes;
+            # for the same reason only kept poles can lie above lam.
+            err_b = scale * np.abs(beta)
+            above = np.bincount(k_id, weights=k_sq > lam_k, minlength=m)
+            # det S in two exact forms, each summed term by term with its
+            # own rounding bound: alpha beta - (p - 2) alpha - p beta - 1
+            # stays accurate when lam is far above the kept poles (alpha
+            # small, p large), and shift (beta - p + 2) - (p - 1)**2 when it
+            # is far below them (shift small, p = 1).  Either may certify
+            # the sign.
+            ab, pa, pb = alpha * beta, (p_l - 2.0) * alpha, p_l * beta
+            det_a = ab - pa - pb - 1.0
+            err_det_a = (
+                np.abs(beta - p_l + 2.0) * err_a
+                + np.abs(alpha - p_l) * err_b
+                + err_a * err_b
+                + 6.0 * _U * (np.abs(ab) + np.abs(pa) + np.abs(pb) + 1.0)
+            ) * (1.0 + 16.0 * _U)
+            sb, ps, sq_p = shift * beta, (p_l - 2.0) * shift, (p_l - 1.0) ** 2
+            det_s = sb - ps - sq_p
+            err_det_s = (
+                np.abs(beta - p_l + 2.0) * err_s
+                + np.abs(shift) * err_b
+                + err_s * err_b
+                + 6.0 * _U * (np.abs(sb) + np.abs(ps) + sq_p)
+            ) * (1.0 + 16.0 * _U)
+            det_pos = (det_a > err_det_a) | (det_s > err_det_s)
+            det_neg = (det_a < -err_det_a) | (det_s < -err_det_s)
+            # S_11 = p - alpha = -shift fixes the sign pattern once det S > 0
+            one = det_neg
+            two = det_pos & (shift < -err_s)
+            zero = det_pos & (shift > err_s)
+        decided = one | two | zero
+        # #{eig > lam} >= 1 exactly when lam lies below the top eigenvalue
+        below = decided & (above + one + 2.0 * two >= 2.0)
+        lo_l = np.where(below, np.maximum(lo_l, lam), lo_l)
+        hi_l = np.where(decided & ~below, np.minimum(hi_l, lam), hi_l)
+        tries = np.where(decided, 0, tries + 1)
+        lo[groups], hi[groups] = lo_l, hi_l
+        floor = max(floor, float(lo_l.max()))
+    return lo, hi
+
+
+def _beyond_window_mass(
+    params: KorobovParams, x: float, window_weights: np.ndarray, tol: float
+) -> tuple[float, float]:
+    """Certified upper values of omega**x and of the weight mass
+    sum_{E(h) >= x} omega**E(h) beyond the window.
+
+    The mass is the smaller of two valid bounds.  The first is the
+    product-form total minus the window, both sides widened by their
+    rounding: the window is summed exactly by ``math.fsum``, and each
+    window weight exp(E(h) log(omega)) carries a relative error below
+    ((s + 4) x log(1/omega) + 4) u, u = 2**-53, from the s-term exponent
+    sum, the product and exp.  It cancels in deep windows.  The second is
+    the trace bound
+
+        omega**(theta x) * prod_j (1 + 2 sum_{h>=1} omega**((1-theta) a_j h**b_j)),
+
+    valid for every theta in (0, 1) since omega**E <= omega**(theta x) *
+    omega**((1-theta) E) once E >= x, taken at the best theta = 1 - 2**-k,
+    k = 1..10.  Each one-dimensional series is bounded in closed form by
+    min(1/expm1(c), Gamma(1 + 1/b) c**(-1/b)), c = (1-theta) a_j log(1/omega):
+    h**b >= h gives the geometric series, and the terms decrease, so the
+    sum is at most the integral of exp(-c t**b) over t >= 0.
+
+    The exponents of omega**x and of the trace bound sum s + 1 terms of
+    magnitude below 745 (beyond that exp underflows, and rounding up
+    covers the rest), each with a few roundings, and x stands for float
+    exponents that are off by (s + 2) u x: their relative error stays
+    below 2048 (s + 4) u.
+    """
+    av, bv = a_values(params), b_values(params)
+    log_inv = params.log_inv_omega
+    s = params.s
+    total = 1.0
+    for a, b in zip(av, bv):
+        total *= 1.0 + 2.0 * weight_sum_upper(params.omega, a, b, tol=tol / (4.0 * s))
+    total *= 1.0 + (2.0 * s + 2.0) * _U
+    window = math.fsum(window_weights.tolist())
+    window *= 1.0 - ((s + 4.0) * x * log_inv + 6.0) * _U
+    by_total = total - window
+
+    best = math.inf
+    for k in range(1, 11):
+        theta = 1.0 - 2.0**-k
+        log_bound = -theta * x * log_inv
+        for a, b in zip(av, bv):
+            c = (1.0 - theta) * a * log_inv
+            series = min(1.0 / math.expm1(c), math.gamma(1.0 + 1.0 / b) * c ** (-1.0 / b))
+            log_bound += math.log1p(2.0 * series)
+        best = min(best, log_bound)
+    up = 1.0 + 2048.0 * (s + 4.0) * _U
+    by_trace = math.exp(best) * up
+    sup = math.nextafter(math.exp(-x * log_inv) * up, math.inf)
+    return sup, math.nextafter(max(min(by_total, by_trace), 0.0), math.inf)
+
+
 def exact_worst_case_error(
     alg: StdAlgorithm,
     trunc_x: float | None = None,
@@ -369,11 +572,22 @@ def exact_worst_case_error(
 
     Frequencies split into cosets of the dual lattice; within a coset the
     error acts as (coefficients scaled by weight**0.5) -> (kept minus
-    coset total, discarded unchanged), a finite matrix whose largest
-    singular value is the coset's exact worst case.  The global value is
-    the max over cosets.  The mass beyond trunc_x contributes at most
-    slack_sq = omega**trunc_x + (total weight beyond trunc_x) to the
-    squared error; it is reported, never folded in.
+    coset total, discarded unchanged), the matrix diag(w) - outer(kept, w)
+    whose largest singular value is the coset's exact worst case.  That
+    value is bracketed without forming the matrix (``_top_sq_brackets``:
+    bisection on an inertia count that costs two sums per probe, run on
+    every coset at once), and the global value is the max over cosets.
+    ``value`` is the square root of the largest lower end, rounded down;
+    the gap up to the largest upper end goes into slack_sq.
+
+    Frequencies beyond trunc_x add a block of columns to each coset's
+    matrix.  Its rows on kept frequencies and on its own frequencies are
+    disjoint, so its squared norm is at most omega**trunc_x + p * (coset
+    mass beyond trunc_x), p the coset's kept count, and by Weyl's
+    inequality that bounds what it adds to the squared error.  slack_sq
+    therefore also holds omega**trunc_x + p_max * (mass beyond trunc_x),
+    p_max the most kept members in one coset: reported, never folded in.
+    A coset larger than ``coset_cap`` raises :class:`CapExceeded`.
     """
     params = alg.params
     if trunc_x is None:
@@ -384,49 +598,36 @@ def exact_worst_case_error(
             f"truncation budget {trunc_x} must exceed the kept threshold {alg.threshold}",
         )
     window = enumerate_below(params, trunc_x, cap=cap_set)
-    mesh = alg.grid.mesh
     log_w = -params.log_inv_omega
 
-    cosets: dict[tuple[int, ...], list[float]] = {}
-    for e, h in zip(window.member_exponents, window.members):
-        key = tuple(hj % m for hj, m in zip(h, mesh))
-        cosets.setdefault(key, []).append(e)
+    # Group the window by coset: one stable sort on the residues mod the
+    # mesh keeps exponents ascending, so weights descend, within a coset.
+    residues = np.array(window.members, dtype=np.int64).reshape(window.count, params.s)
+    residues %= np.array(alg.grid.mesh, dtype=np.int64)
+    order = np.lexsort(residues.T[::-1])
+    residues = residues[order]
+    exponents = np.array(window.member_exponents)[order]
+    ids = np.concatenate(([0], np.cumsum(np.any(residues[1:] != residues[:-1], axis=1))))
+    coset_count = int(ids[-1]) + 1
+    sizes = np.bincount(ids)
+    largest = int(sizes.max())
+    if largest > coset_cap:
+        raise CapExceeded("coset size", coset_cap, needed=largest)
 
-    worst = 0.0
-    largest = 0
-    kept_threshold = alg.threshold
-    low_weight_total = 0.0
-    for group in cosets.values():
-        size = len(group)
-        largest = max(largest, size)
-        if size > coset_cap:
-            raise CapExceeded("coset matrix dimension", coset_cap, needed=size)
-        exponents = np.array(group)
-        w = np.exp(0.5 * exponents * log_w)
-        low_weight_total += float(np.sum(np.exp(exponents * log_w)))
-        kept = (exponents < kept_threshold).astype(float)
-        if size == 1:
-            # kept singleton reproduces itself exactly; a discarded one
-            # leaks its own mass
-            sigma = 0.0 if kept[0] else float(w[0])
-        else:
-            matrix = np.diag(w) - np.outer(kept, w)
-            sigma = float(np.linalg.svd(matrix, compute_uv=False)[0])
-        worst = max(worst, sigma)
+    weights = np.exp(exponents * log_w)
+    kept = exponents < alg.threshold
+    lo, hi = _top_sq_brackets(weights, kept, ids, coset_count)
+    value = math.nextafter(math.sqrt(float(lo.max())), 0.0)
+    top = float(hi.max())
+    gap = top - value * value + 4.0 * _U * top
 
-    # Total weight mass beyond the truncation window, certified from the
-    # full product form minus the enumerated part.
-    av, bv = a_values(params), b_values(params)
-    total_upper = 1.0
-    for a, b in zip(av, bv):
-        partial, tail = truncated_weight_sum(params.omega, a, b, tol=tol / (4.0 * params.s))
-        total_upper *= 1.0 + 2.0 * (partial + tail)
-    tail_mass = max(total_upper - low_weight_total, 0.0)
-    slack_sq = math.exp(trunc_x * log_w) + tail_mass
+    p_max = int(np.bincount(ids, weights=kept).max())
+    sup_beyond, beyond = _beyond_window_mass(params, trunc_x, weights, tol)
+    slack_sq = math.nextafter((gap + sup_beyond + p_max * beyond) * (1.0 + 4.0 * _U), math.inf)
     return OracleResult(
-        value=worst,
+        value=value,
         slack_sq=slack_sq,
-        coset_count=len(cosets),
+        coset_count=coset_count,
         largest_coset=largest,
     )
 
