@@ -1,67 +1,40 @@
-"""Certified truncation of the one-dimensional weight series.
+"""Certified weight series and the product form over coordinates.
 
-Every infinite sum in this package reduces to series of the form
-sum_{h>=1} omega**(a*(scale*h)**b) * factor(h) with |factor| <= 1.
-Because (scale*h)**b >= (scale*H)**b * (1 + (h-H)/H) for h >= H >= 1 and
-b >= 1, the tail after H is dominated by a geometric series, which gives
-a computable remainder bound; callers receive the partial sum and that
-bound separately so nothing is silently absorbed.
+The only place that sums S(a, b) = sum_{h>=1} omega**(a*h**b), b >= 1,
+forms the product prod_j (1 + 2 S(a_j, b_j)) = sum_h omega**E(h), or
+bounds the mass beyond an enumerated window; dual lattices enter as
+scaled weights a_j*m_j**b_j or a_j*(m_j/2)**b_j.  Results are certified
+in floating point and rounded up: u = 2**-53, elementary functions within
+8 u, arithmetic within u, and 2**-1070 per result for subnormals.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable
+from typing import Sequence
 
 import numpy as np
 
-__all__ = ["truncated_weight_sum", "weight_sum_upper"]
+__all__ = ["weight_terms", "weight_sum_upper", "nonzero_mass_upper", "series_ceiling",
+           "log_product_ceiling", "beyond_window_mass"]
 
 _MAX_TERMS = 10**7
 _U = 2.0**-53  # unit roundoff of float64
+_TINY = 2.0**-1070  # 16 subnormal units
+_LOG_HUGE = 709.0  # exp overflows above this
 
 
-def truncated_weight_sum(
-    omega: float,
-    a: float,
-    b: float,
-    scale: float = 1.0,
-    tol: float = 1e-16,
-    factor: Callable[[int], float] | None = None,
-) -> tuple[float, float]:
-    """Return (partial, tail_bound) for sum_{h>=1} omega**(a*(scale*h)**b)*factor(h).
+def weight_terms(omega: float, a: float, b: float, tol: float) -> tuple[np.ndarray, float, np.ndarray]:
+    """(terms, tail, margin) of S(a, b): the terms for h = 1..H, H the
+    first index whose tail bound is below ``tol``, a certified upper value
+    of the sum over h > H, and relative error bounds of the terms.
 
-    ``factor`` must satisfy |factor(h)| <= 1 (it defaults to 1); the true
-    sum then lies within tail_bound of the partial sum, tail_bound < tol.
-    """
-    log_w = math.log(omega)
-    partial = 0.0
-    h = 0
-    while True:
-        h += 1
-        if h > _MAX_TERMS:
-            raise RuntimeError("weight series did not reach the requested tolerance")
-        exponent = a * (scale * h) ** b
-        term = math.exp(exponent * log_w)
-        partial += term * (factor(h) if factor is not None else 1.0)
-        # Tail bound anchored at H = h: terms at h+k are at most
-        # omega**(a*(scale*h)**b) * q**k with q = omega**(a*(scale*h)**b / h).
-        q = math.exp(exponent * log_w / h)
-        tail = term * q / (1.0 - q) if q < 1.0 else math.inf
-        if tail < tol:
-            return partial, tail
-
-
-def weight_sum_upper(omega: float, a: float, b: float, tol: float = 1e-16) -> float:
-    """Certified upper value of sum_{h>=1} omega**(a*h**b), within about
-    tol above it.
-
-    The terms are formed by numpy and summed by ``math.fsum``; the tail
-    after the last term H is bounded as in :func:`truncated_weight_sum`.
-    Each term's exponent a*h**b*log(omega) carries a relative error of a
-    few units u = 2**-53, so its value a relative error of at most
-    (4*|exponent| + 4) u; the sum is widened by that at the largest
-    exponent used, plus the rounding of the tail, and rounded up.
+    Tail: h**b >= H**b (1 + (h-H)/H) for h >= H, so the tail is at most
+    term H * q/(1-q), q = omega**(a*H**(b-1)).  Margin: the exponent
+    a*h**b*log(omega) takes a power, a log and two products (6 u), and a
+    scaled ``a`` (a*m**b, a*(m/2)**b) 3 u more, so it is within
+    10 u |exponent|; with exp, margin = (10 |exponent| + 10) u.  The tail
+    formula repeats those errors for term H, covered by 3 margin + 16 u.
     """
     log_w = math.log(omega)
     n = 64
@@ -78,6 +51,91 @@ def weight_sum_upper(omega: float, a: float, b: float, tol: float = 1e-16) -> fl
         if n >= _MAX_TERMS:
             raise RuntimeError("weight series did not reach the requested tolerance")
         n *= 4
-    partial = math.fsum(terms[: last + 1].tolist())
-    margin = (4.0 * abs(float(exponent[last])) + 8.0) * _U
-    return math.nextafter((partial + float(tails[last])) * (1.0 + margin), math.inf)
+    margin = (10.0 * np.abs(exponent[: last + 1]) + 10.0) * _U
+    tail = float(tails[last]) * (1.0 + 3.0 * float(margin[-1]) + 16.0 * _U)
+    return terms[: last + 1], math.nextafter(tail, math.inf) + _TINY, margin
+
+
+def weight_sum_upper(omega: float, a: float, b: float, tol: float = 1e-16) -> float:
+    """Certified upper value of S(a, b), within about tol above it: the
+    ``math.fsum`` of the terms plus their margins and the tail, widened by
+    4 u for the sums and rounded up."""
+    terms, tail, margin = weight_terms(omega, a, b, tol)
+    widen = math.fsum((terms * margin).tolist()) + terms.size * _TINY
+    return math.nextafter((math.fsum(terms.tolist()) + widen + tail) * (1.0 + 4.0 * _U), math.inf)
+
+
+def nonzero_mass_upper(omega: float, av: Sequence[float], bv: Sequence[float], tol: float = 1e-14) -> float:
+    """Certified upper value of sum_{h != 0} omega**E(h) = prod_j (1 + 2 S_j) - 1,
+    formed as sum_j 2 S_j prod_{i<j} (1 + 2 S_i), never as product - 1, so
+    its rounding, (4 s + 4) u, stays relative to the mass.  Each S_j is a
+    :func:`weight_sum_upper` at tolerance tol / (4 s C), C the product's
+    ceiling, so the result is within tol plus its margins above the mass."""
+    log_inv, s = -math.log(omega), len(av)
+    per_factor = tol / (4.0 * s) * math.exp(-log_product_ceiling([a * log_inv for a in av], bv))
+    grown, mass = 1.0, 0.0
+    for a, b in zip(av, bv):
+        rho = 2.0 * weight_sum_upper(omega, a, b, tol=per_factor)
+        mass += rho * grown
+        grown += rho * grown
+    return math.nextafter(mass * (1.0 + (4.0 * s + 4.0) * _U) + s * _TINY, math.inf)
+
+
+def series_ceiling(c: float, b: float) -> float:
+    """Closed-form upper value of sum_{h>=1} exp(-c h**b), c > 0, b >= 1:
+    min(e**-c / (1 - e**-c), Gamma(1 + 1/b) c**(-1/b)), since h**b >= h and
+    decreasing terms sum to at most the integral of exp(-c t**b) over
+    t >= 0.  Taken in log form, it cannot overflow; ``c`` may be up to 8 u
+    above its exact value, and that and the rounding are covered."""
+    c = c * (1.0 - 16.0 * _U)
+    log_c = math.log(c)
+    best = min(-c - math.log(-math.expm1(-c)), math.lgamma(1.0 + 1.0 / b) - log_c / b)
+    best += 4.0 * (abs(best) + c + abs(log_c) + 8.0) * _U
+    return math.exp(best) + _TINY if best < _LOG_HUGE else math.inf
+
+
+def log_product_ceiling(cv: Sequence[float], bv: Sequence[float]) -> float:
+    """Upper value of log prod_j (1 + 2 series_ceiling(c_j, b_j))."""
+    logs = [math.log1p(2.0 * series_ceiling(c, b)) for c, b in zip(cv, bv)]
+    return math.nextafter(math.fsum(logs) * (1.0 + 4.0 * _U), math.inf)
+
+
+def beyond_window_mass(
+    omega: float, av: Sequence[float], bv: Sequence[float], x: float,
+    window_weights: Sequence[float], tol: float = 1e-14,
+) -> tuple[float, float, float]:
+    """Certified upper values of omega**x, of the window's mass and of the
+    mass sum_{E(h) >= x} omega**E(h) beyond it.
+
+    The window is the h != 0 with float exponent below x, weighing
+    ``window_weights``.  Outside it exponents are >= x (1 - (s + 8) u), s
+    rounded terms of a possibly scaled weight: ``reach`` with log(1/omega)
+    (4 u more).  The mass is the smaller of
+    :func:`nonzero_mass_upper` minus the window (by ``math.fsum``, each
+    weight w within ((s + 11) log(1/w) + 8) u), which cancels in deep
+    windows, and the trace bound
+
+        omega**(theta x) * prod_j (1 + 2 sum_{h>=1} omega**((1-theta) a_j h**b_j)),
+
+    valid for theta in (0, 1) as omega**E <= omega**(theta x + (1-theta) E)
+    once E >= x, in log form at theta = 1 - 2**-k, k = 1..10.
+    """
+    log_inv, s = -math.log(omega), len(av)
+    reach = x * log_inv * (1.0 - (s + 16.0) * _U)
+    sup = math.nextafter(math.exp(-reach) * (1.0 + 4.0 * _U), math.inf) + _TINY
+
+    w = np.asarray(window_weights, dtype=float)
+    window = math.fsum(w.tolist())
+    err = math.fsum((w * ((s + 12.0) * -np.log(np.maximum(w, _TINY)) + 16.0)).tolist())
+    err = err * _U + w.size * _TINY
+    window_hi = math.nextafter(window + err, math.inf)
+    by_total = nonzero_mass_upper(omega, av, bv, tol) - (window - err)
+
+    best = math.inf
+    for k in range(1, 11):
+        theta = 1.0 - 2.0**-k
+        ceiling = log_product_ceiling([(1.0 - theta) * a * log_inv for a in av], bv)
+        # the subtraction and exp round within (ceiling + 2 theta reach + 4) u
+        best = min(best, ceiling - theta * reach + (ceiling + 2.0 * theta * reach + 4.0) * _U)
+    by_trace = math.exp(best) + _TINY if best < _LOG_HUGE else math.inf
+    return sup, window_hi, math.nextafter(max(min(by_total, by_trace), 0.0), math.inf)

@@ -19,7 +19,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from ._series import truncated_weight_sum
+from ._series import nonzero_mass_upper
 from .errors import CapExceeded, InvalidParameterError
 from .params import KorobovParams, a_values, b_values
 from .space import FourierPolynomial, evaluate_many
@@ -173,19 +173,14 @@ def dual_weight_sum(params: KorobovParams, grid: RegularGrid, tol: float = 1e-14
     """Sum over the nonzero dual lattice of the halved-exponent weights
     omega**(sum_j a_j * (|l_j|/2)**b_j).
 
-    Uses the product form -1 + prod_j (1 + 2*sum_{h>=1} omega**(a_j*(m_j*h/2)**b_j))
-    with certified geometric-tail truncation per factor; the returned
-    value includes each factor's tail bound, so it upper-bounds the true
-    sum while staying within ``tol`` of it.
+    The dual point l = m*k has the halved exponent of k under the weights
+    a_j*(m_j/2)**b_j, so this is their :func:`nonzero_mass_upper`: certified,
+    within about ``tol`` above the sum, and accurate also far below one.
     """
     if grid.s != params.s:
         raise InvalidParameterError(
             "term_undefined", f"grid dimension {grid.s} does not match space dimension {params.s}"
         )
-    av, bv = a_values(params), b_values(params)
-    product = 1.0
-    per_factor = tol / (4.0 * params.s)
-    for a, b, m in zip(av, bv, grid.mesh):
-        partial, tail = truncated_weight_sum(params.omega, a, b, scale=m / 2.0, tol=per_factor)
-        product *= 1.0 + 2.0 * (partial + tail)
-    return product - 1.0
+    bv = b_values(params)
+    halved = [a * (m / 2.0) ** b for a, b, m in zip(a_values(params), bv, grid.mesh)]
+    return nonzero_mass_upper(params.omega, halved, bv, tol)

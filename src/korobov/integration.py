@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ._series import truncated_weight_sum
+from ._series import beyond_window_mass
 from .errors import CapExceeded, InvalidParameterError
 from .grids import DEFAULT_GRID_CAP, RegularGrid, sample_mean
 from .index_set import DEFAULT_SET_CAP, _count, _enumerate
@@ -54,19 +54,16 @@ def integrate(rule: GridRule, f: FourierPolynomial, cap_n: int = DEFAULT_GRID_CA
 
 def _dual_window(
     params: KorobovParams, grid: RegularGrid, trunc_x: float, cap: int
-) -> list[tuple[float, tuple[int, ...]]]:
-    """(exponent, k) for the nonzero dual-lattice points m*k below trunc_x.
-
-    A dual point is (m_1*k_1, ..., m_s*k_s), so its exponent equals the
-    exponent of k under the rescaled weights a_j * m_j**b_j; the counting
-    machinery applies unchanged to those.
-    """
-    av, bv = a_values(params), b_values(params)
-    scaled = tuple(a * float(m) ** b for a, b, m in zip(av, bv, grid.mesh))
+) -> tuple[list[float], list[tuple[float, tuple[int, ...]]]]:
+    """Rescaled weights a_j * m_j**b_j, under which k has the exponent of the
+    dual point (m_1*k_1, ..., m_s*k_s), and (exponent, k) for the nonzero dual
+    points below trunc_x: the counting machinery applies unchanged."""
+    bv = b_values(params)
+    scaled = [a * float(m) ** b for a, b, m in zip(a_values(params), bv, grid.mesh)]
     total = _count(scaled, bv, trunc_x)
     if total > cap:
         raise CapExceeded("dual lattice window", cap, needed=total)
-    return [(e, k) for e, k in _enumerate(scaled, bv, trunc_x) if any(k)]
+    return scaled, [(e, k) for e, k in _enumerate(scaled, bv, trunc_x) if any(k)]
 
 
 def worst_case_int_error(
@@ -78,24 +75,22 @@ def worst_case_int_error(
 ) -> "IntErrorResult":
     """Worst-case integration error of the rule over the unit ball.
 
-    Equals sqrt(sum of weights over the nonzero dual lattice); the sum is
-    enumerated below trunc_x and the remaining dual mass is bounded by
-    the certified product form, reported as slack.
+    Equals sqrt(sum of weights over the nonzero dual lattice), enumerated
+    below trunc_x.  ``tail_sq`` holds the dual mass beyond, bounded like the
+    oracle's by :func:`beyond_window_mass`, plus the rounding of ``value``.
     """
     if not trunc_x > 0.0:
         raise InvalidParameterError("term_undefined", f"trunc_x must be positive, got {trunc_x}")
     if rule.grid.s != params.s:
         raise InvalidParameterError("term_undefined", "grid dimension mismatch")
     log_w = -params.log_inv_omega
-    low = sum(math.exp(e * log_w) for e, _ in _dual_window(params, rule.grid, trunc_x, cap))
-
-    av, bv = a_values(params), b_values(params)
-    total_upper = 1.0
-    for a, b, m in zip(av, bv, rule.grid.mesh):
-        partial, tail = truncated_weight_sum(params.omega, a, b, scale=float(m), tol=tol / (4 * params.s))
-        total_upper *= 1.0 + 2.0 * (partial + tail)
-    tail_mass = max(total_upper - 1.0 - low, 0.0)
-    return IntErrorResult(value=math.sqrt(low), tail_sq=tail_mass)
+    scaled, window = _dual_window(params, rule.grid, trunc_x, cap)
+    weights = [math.exp(e * log_w) for e, _ in window]
+    _, window_hi, beyond = beyond_window_mass(params.omega, scaled, b_values(params), trunc_x, weights, tol)
+    value = math.sqrt(sum(weights))
+    # value**2 rounded down is within a factor 2 of window_hi: their gap is exact
+    gap = max(window_hi - value * value * (1.0 - 2.0**-52), 0.0)
+    return IntErrorResult(value=value, tail_sq=math.nextafter(beyond + gap, math.inf))
 
 
 @dataclass(frozen=True)
@@ -120,7 +115,7 @@ def extremal_integrand(
 ) -> FourierPolynomial:
     """Unit-ball element attaining the truncated worst-case error:
     coefficients proportional to the dual-lattice weights."""
-    window = _dual_window(params, rule.grid, trunc_x, cap)
+    _, window = _dual_window(params, rule.grid, trunc_x, cap)
     if not window:
         raise InvalidParameterError("term_undefined", "no dual-lattice point below trunc_x")
     log_w = -params.log_inv_omega

@@ -72,6 +72,15 @@ def _outward(lo: float, hi: float) -> Interval:
     return Interval(math.nextafter(lo, -INFINITE), math.nextafter(hi, INFINITE))
 
 
+def _enclose(num: int, den: int) -> Interval:
+    """The tightest float interval containing num/den."""
+    num, den = (num, den) if den > 0 else (-num, -den)
+    f = num / den  # integer true division rounds correctly
+    fn, fd = f.as_integer_ratio()
+    return Interval(math.nextafter(f, -INFINITE) if fn * den > num * fd else f,
+                    math.nextafter(f, INFINITE) if fn * den < num * fd else f)
+
+
 class SequenceFamily:
     """A closed-form sequence j -> term(j), j = 1, 2, ...
 
@@ -243,9 +252,9 @@ class GeometricFamily(SequenceFamily):
     def reciprocal_sum(self, start: int = 1) -> Interval:
         if self.r <= 1:
             return Interval(INFINITE, INFINITE)
-        # sum_{j>=start} r^-j = r^(1-start)/(r-1)
-        value = self.r ** (1 - start) / (self.c * (self.r - 1.0))
-        return Interval.exact(value)
+        # sum_{j>=start} r^-j / c = r^(1-start)/(c (r-1)), in exact integers
+        (p, q), (cp, cq) = self.r.as_integer_ratio(), self.c.as_integer_ratio()
+        return _enclose(q**start * cq, p ** (start - 1) * cp * (p - q))
 
     def min_term_overall(self) -> float:
         return self.c * self.r if self.r >= 1 else 0.0
@@ -296,7 +305,10 @@ class ExponentialFamily(SequenceFamily):
             return Interval(INFINITE, INFINITE)
         q = math.exp(-self.alpha)
         value = q**start / (self.c * (1.0 - q))
-        return Interval.exact(value)
+        # q within 2 u moves q**start by 2 start u and 1 - q by 2 u q/(1 - q);
+        # a power, a difference, a product and a quotient add 5 u
+        err = ((2.0 * start + 8.0) + 2.0 * q / (1.0 - q)) * _U * value
+        return _outward(value - err, value + err)
 
     def min_term_overall(self) -> float:
         return self.term(1) if self.alpha >= 0 else 0.0

@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 import numpy as np
 
-from ._series import weight_sum_upper
+from ._series import beyond_window_mass
 from .errors import CapExceeded, InvalidParameterError
 from .grids import (
     DEFAULT_GRID_CAP,
@@ -129,11 +129,16 @@ def _damping_factor(params: KorobovParams) -> float:
 def error_upper_bound(alg: StdAlgorithm, tol: float = 1e-14) -> float:
     """Closed-form ceiling sqrt(1/M + M**(B_s+1) * D * F) on the worst-case
     error, with F the halved-exponent weight sum over the nonzero dual
-    lattice."""
-    b_sum = _b_sum(alg.params)
-    d = _damping_factor(alg.params)
-    f_sum = dual_weight_sum(alg.params, alg.grid, tol=tol)
-    return math.sqrt(1.0 / alg.M + alg.M ** (b_sum + 1.0) * d * f_sum)
+    lattice (certified, :func:`dual_weight_sum`), rounded up: B_s + 1 is
+    within (2 s + 1) (B_s + 1) u, which the power amplifies by log M, and
+    each factor of D within (|log log(1/omega)| + 6) u."""
+    params, s = alg.params, alg.params.s
+    b_sum = _b_sum(params)
+    f_sum = dual_weight_sum(params, alg.grid, tol=tol)
+    radicand = 1.0 / alg.M + alg.M ** (b_sum + 1.0) * _damping_factor(params) * f_sum
+    log_m, log_log = abs(math.log(alg.M)), abs(math.log(params.log_inv_omega))
+    widen = ((2.0 * s + 1.0) * (b_sum + 1.0) * log_m + s * (log_log + 6.0) + 8.0) * _U
+    return math.nextafter(math.sqrt(radicand * (1.0 + widen)), math.inf)
 
 
 def _coset_rest(log_w: float, a: float, b: float, m: int, h: int, tol: float) -> float:
@@ -505,61 +510,6 @@ def _top_sq_brackets(
     return lo, hi
 
 
-def _beyond_window_mass(
-    params: KorobovParams, x: float, window_weights: np.ndarray, tol: float
-) -> tuple[float, float]:
-    """Certified upper values of omega**x and of the weight mass
-    sum_{E(h) >= x} omega**E(h) beyond the window.
-
-    The mass is the smaller of two valid bounds.  The first is the
-    product-form total minus the window, both sides widened by their
-    rounding: the window is summed exactly by ``math.fsum``, and each
-    window weight exp(E(h) log(omega)) carries a relative error below
-    ((s + 4) x log(1/omega) + 4) u, u = 2**-53, from the s-term exponent
-    sum, the product and exp.  It cancels in deep windows.  The second is
-    the trace bound
-
-        omega**(theta x) * prod_j (1 + 2 sum_{h>=1} omega**((1-theta) a_j h**b_j)),
-
-    valid for every theta in (0, 1) since omega**E <= omega**(theta x) *
-    omega**((1-theta) E) once E >= x, taken at the best theta = 1 - 2**-k,
-    k = 1..10.  Each one-dimensional series is bounded in closed form by
-    min(1/expm1(c), Gamma(1 + 1/b) c**(-1/b)), c = (1-theta) a_j log(1/omega):
-    h**b >= h gives the geometric series, and the terms decrease, so the
-    sum is at most the integral of exp(-c t**b) over t >= 0.
-
-    The exponents of omega**x and of the trace bound sum s + 1 terms of
-    magnitude below 745 (beyond that exp underflows, and rounding up
-    covers the rest), each with a few roundings, and x stands for float
-    exponents that are off by (s + 2) u x: their relative error stays
-    below 2048 (s + 4) u.
-    """
-    av, bv = a_values(params), b_values(params)
-    log_inv = params.log_inv_omega
-    s = params.s
-    total = 1.0
-    for a, b in zip(av, bv):
-        total *= 1.0 + 2.0 * weight_sum_upper(params.omega, a, b, tol=tol / (4.0 * s))
-    total *= 1.0 + (2.0 * s + 2.0) * _U
-    window = math.fsum(window_weights.tolist())
-    window *= 1.0 - ((s + 4.0) * x * log_inv + 6.0) * _U
-    by_total = total - window
-
-    best = math.inf
-    for k in range(1, 11):
-        theta = 1.0 - 2.0**-k
-        log_bound = -theta * x * log_inv
-        for a, b in zip(av, bv):
-            c = (1.0 - theta) * a * log_inv
-            series = min(1.0 / math.expm1(c), math.gamma(1.0 + 1.0 / b) * c ** (-1.0 / b))
-            log_bound += math.log1p(2.0 * series)
-        best = min(best, log_bound)
-    up = 1.0 + 2048.0 * (s + 4.0) * _U
-    by_trace = math.exp(best) * up
-    sup = math.nextafter(math.exp(-x * log_inv) * up, math.inf)
-    return sup, math.nextafter(max(min(by_total, by_trace), 0.0), math.inf)
-
-
 def exact_worst_case_error(
     alg: StdAlgorithm,
     trunc_x: float | None = None,
@@ -587,6 +537,7 @@ def exact_worst_case_error(
     inequality that bounds what it adds to the squared error.  slack_sq
     therefore also holds omega**trunc_x + p_max * (mass beyond trunc_x),
     p_max the most kept members in one coset: reported, never folded in.
+    Both upper values come from ``_series.beyond_window_mass``.
     A coset larger than ``coset_cap`` raises :class:`CapExceeded`.
     """
     params = alg.params
@@ -622,7 +573,9 @@ def exact_worst_case_error(
     gap = top - value * value + 4.0 * _U * top
 
     p_max = int(np.bincount(ids, weights=kept).max())
-    sup_beyond, beyond = _beyond_window_mass(params, trunc_x, weights, tol)
+    sup_beyond, _, beyond = beyond_window_mass(
+        params.omega, a_values(params), b_values(params), trunc_x, weights[exponents > 0.0], tol
+    )
     slack_sq = math.nextafter((gap + sup_beyond + p_max * beyond) * (1.0 + 4.0 * _U), math.inf)
     return OracleResult(
         value=value,

@@ -14,7 +14,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from ._series import truncated_weight_sum
+from ._series import log_product_ceiling, nonzero_mass_upper, weight_terms
 from .errors import ConfigError, InvalidParameterError
 from .index_set import IndexSet, weight_exponent
 from .params import KorobovParams, a_values, b_values
@@ -198,13 +198,10 @@ def random_unit_ball(
 
 
 def kernel_diagonal(params: KorobovParams, tol: float = 1e-14) -> float:
-    """K(x, x) = prod_j (1 + 2*sum_{h>=1} omega**(a_j*h**b_j)), x-free."""
-    av, bv = a_values(params), b_values(params)
-    product = 1.0
-    for a, b in zip(av, bv):
-        partial, _ = truncated_weight_sum(params.omega, a, b, tol=tol / (4.0 * params.s))
-        product *= 1.0 + 2.0 * partial
-    return product
+    """K(x, x) = prod_j (1 + 2*sum_{h>=1} omega**(a_j*h**b_j)), x-free: one
+    plus :func:`nonzero_mass_upper`, rounded up, so within about tol above it."""
+    mass = nonzero_mass_upper(params.omega, a_values(params), b_values(params), tol)
+    return math.nextafter(1.0 + mass, math.inf)
 
 
 def kernel_eval(
@@ -228,25 +225,15 @@ def kernel_eval(
         raise InvalidParameterError("term_undefined", "point dimension mismatch")
     av, bv = a_values(params), b_values(params)
 
-    # Crude ceiling on the product magnitude so per-factor tolerances a
-    # factor contributes are safe to add up.
-    ceiling = 1.0
-    for a, b in zip(av, bv):
-        q = params.omega**a
-        ceiling *= 1.0 + 2.0 * q / (1.0 - q)
-    per_factor = tol / (2.0 * params.s * ceiling)
+    # factors are below their ceilings, so these per-factor errors add up to tol
+    ceiling = log_product_ceiling([a * params.log_inv_omega for a in av], bv)
+    per_factor = tol / (2.0 * params.s) * math.exp(-ceiling)
 
     product = 1.0
-    for j in range(params.s):
-        delta = float(xv[j] - yv[j])
-        partial, _ = truncated_weight_sum(
-            params.omega,
-            av[j],
-            bv[j],
-            tol=per_factor,
-            factor=lambda h, d=delta: math.cos(2.0 * math.pi * h * d),
-        )
-        product *= 1.0 + 2.0 * partial
+    for a, b, delta in zip(av, bv, (xv - yv).tolist()):
+        terms, _, _ = weight_terms(params.omega, a, b, per_factor)
+        h = np.arange(1.0, terms.size + 1.0)
+        product *= 1.0 + 2.0 * math.fsum((terms * np.cos(2.0 * np.pi * h * delta)).tolist())
     return product
 
 

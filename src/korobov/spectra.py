@@ -14,6 +14,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
+from ._series import log_product_ceiling
 from .errors import InvalidParameterError
 from .index_set import _exponent, count_below, exponent_budget, weight_exponent
 from .params import KorobovParams, a_values, b_values
@@ -147,15 +148,13 @@ def eigenvalue_tail_bound(params: KorobovParams, n: int, eta: float) -> float:
     """Upper bound on the n-th sorted weight from the eta-th power trace.
 
     n * lambda_n**eta is at most the sum of all weights to the power eta,
-    which factors over coordinates and is dominated geometrically; any
-    eta in (0,1) yields a valid bound.
+    which factors over coordinates and is bounded in closed form
+    (``_series.log_product_ceiling``); any eta in (0,1) yields a valid bound.
     """
     if not (0.0 < eta < 1.0):
         raise InvalidParameterError("term_undefined", f"eta must lie in (0,1), got {eta}")
     if not (isinstance(n, int) and n >= 1):
         raise InvalidParameterError("term_undefined", f"n must be a positive integer, got {n!r}")
-    product = 1.0
-    for a in a_values(params):
-        q = params.omega ** (eta * a)
-        product *= 1.0 + 2.0 * q / (1.0 - q)
-    return product ** (1.0 / eta) / float(n) ** (1.0 / eta)
+    cv = [eta * a * params.log_inv_omega for a in a_values(params)]
+    log_bound = (log_product_ceiling(cv, b_values(params)) - math.log(n)) / eta
+    return math.exp(log_bound) if log_bound < 709.0 else math.inf

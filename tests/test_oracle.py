@@ -17,11 +17,13 @@ from conftest import make_params, random_instance
 from korobov.errors import CapExceeded
 from korobov.grids import RegularGrid
 from korobov.index_set import enumerate_below
+from korobov.params import GeometricFamily, KorobovParams
 from korobov.sampling import (
     _top_sq_brackets,
     build_std_algorithm,
     exact_worst_case_error,
     mesh_for_accuracy,
+    threshold_algorithm,
 )
 
 U = 2.0**-53
@@ -201,3 +203,12 @@ def test_bracket_covers_a_deeper_window(omega, M, mesh, trunc_x):
     shallow = exact_worst_case_error(alg, trunc_x)
     deep = exact_worst_case_error(alg, 6.0 * trunc_x)
     assert shallow.value <= deep.value <= shallow.upper
+
+
+def test_large_scaled_weights_do_not_overflow():
+    # a_7 = 3**7 puts the trace bound's series at c = (1 - theta) a_7 log 2
+    # ~ 758, where 1 / expm1(c) overflows
+    params = KorobovParams(omega=0.5, a=GeometricFamily(1.0, 3.0), b=GeometricFamily(1.0, 2.0), s=7)
+    oracle = exact_worst_case_error(threshold_algorithm(params, 50.0, 0.5))
+    assert math.isfinite(oracle.value) and math.isfinite(oracle.slack_sq)
+    assert oracle.slack_sq >= 0.0
