@@ -174,7 +174,7 @@ def _cmd_convergence(args) -> int:
     pairs_all: list[tuple[float, float]] = []
     pairs_std: list[tuple[float, float]] = []
     for n, eps, bound, exact in rows:
-        e_all = math.sqrt(spectrum.eigenvalues[n])
+        e_all = math.sqrt(spectrum.eigenvalue(n))
         lines.append(",".join(_fmt(c) for c in (n, e_all, bound, exact)))
         pairs_all.append((n, e_all))
         if isinstance(exact, float) and 0.0 < exact < 1.0:

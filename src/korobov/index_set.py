@@ -3,8 +3,11 @@
 The frequencies h with weight omega**E(h) above a threshold are exactly
 those with E(h) = sum_j a_j*|h_j|**b_j below a budget x; the budget that
 corresponds to accuracy eps is log(eps^-2)/log(omega^-1).  Cardinalities
-are computed by a dimension recurrence, members by a matching walk, and
-both sides are bracketed by closed-form products.
+are computed by a dimension recurrence and bracketed by closed-form
+products.  Members come from one walk held as arrays (``_walk``): a
+frontier of partial sums is extended one coordinate at a time, so
+enumeration, the spectrum and the oracle's window each get an exponent
+array and a member array without building a tuple per frequency.
 
 Every threshold decision in the package is made here, by one
 arithmetic: E(h) is accumulated left to right over coordinates 1..s,
@@ -13,15 +16,20 @@ and each test compares that one float with the budget by a strict
 the dual-lattice window therefore agree exactly, also on budgets that
 sit on a lattice exponent.  Float addition and the term a*|h|**b are
 monotone, so a walk that prunes at the first partial sum reaching x
-visits exactly the frequencies whose full sum stays below x.  Forming
-omega**(-huge) would overflow, so nothing leaves exponent space.
+visits exactly the frequencies whose full sum stays below x.  The walk
+tabulates the terms with the scalar ``_pow_term`` and lets numpy only
+add them, so its sums are the same floats.  Forming omega**(-huge) would
+overflow, so nothing leaves exponent space.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
+
+import numpy as np
 
 from .errors import CapExceeded, InvalidParameterError
 from .params import KorobovParams, a_values, b_values
@@ -137,62 +145,86 @@ def count_below(params: KorobovParams, x: float) -> int:
     return _count(a_values(params), b_values(params), x)
 
 
-def _enumerate(
-    av: Sequence[float], bv: Sequence[float], x: float
-) -> list[tuple[float, tuple[int, ...]]]:
-    """(E(h), h) for every h with E(h) < x, in walk order: coordinate 1
-    outermost, each coordinate taking 0, -1, 1, -2, 2, ... in turn.
+def _walk(av: Sequence[float], bv: Sequence[float], x: float) -> tuple[np.ndarray, np.ndarray]:
+    """(E(h), h) for every h with E(h) < x, as ``(exponents: float64[n],
+    members: int64[n, s])`` in walk order: coordinate 1 outermost, each
+    coordinate taking 0, -1, 1, -2, 2, ... in turn.
 
-    The exponents are the partial sums of the walk, bit-identical to
-    ``_exponent(av, bv, h)``.
+    A frontier of partial sums is extended one coordinate at a time.  The
+    coordinate's terms a*h**b, h = 1.._reach, are tabulated by the scalar
+    ``_pow_term`` and numpy only adds them to the frontier, left to right,
+    and keeps the strict ``< x``; h = 0 adds nothing.  So every exponent is
+    bit-identical to ``_exponent(av, bv, h)``.  Numpy never forms a*h**b
+    itself: its float power can differ from Python's in the last bit.
     """
     x = float(x)
     s = len(av)
-    out: list[tuple[float, tuple[int, ...]]] = []
-    prefix = [0] * s
+    if not x > 0.0:
+        return np.empty(0), np.empty((0, s), dtype=np.int64)
+    acc = np.zeros(1)
+    members = np.zeros((1, 0), dtype=np.int64)
+    for a, b in zip(av, bv):
+        reach = _reach(a, b, 0.0, x)
+        terms = np.array([0.0] + [_pow_term(a, h, b) for h in range(1, reach + 1)])
+        cand = acc[:, None] + terms  # rows: frontier, columns: |h| = 0..reach
+        # output columns in walk order h = 0, -1, 1, -2, 2, ...: |h| and h
+        size = (np.arange(2 * reach + 1) + 1) // 2
+        signed = size * np.resize([1, -1], size.size)
+        row, col = np.nonzero((cand < x)[:, size])
+        acc = cand[row, size[col]]
+        members = np.column_stack((members[row], signed[col]))
+    return acc, members
 
-    def rec(acc: float, dim: int) -> None:
-        if dim == s:
-            out.append((acc, tuple(prefix)))
-            return
-        a, b = av[dim], bv[dim]
-        rec(acc, dim + 1)
-        for h in range(1, _reach(a, b, acc, x) + 1):
-            e = acc + _pow_term(a, h, b)
-            for signed in (-h, h):
-                prefix[dim] = signed
-                rec(e, dim + 1)
-        prefix[dim] = 0
 
-    if x > 0.0:
-        rec(0.0, 0)
-    return out
+def _enumerate(
+    av: Sequence[float], bv: Sequence[float], x: float
+) -> list[tuple[float, tuple[int, ...]]]:
+    """``_walk`` as a list of (E(h), h) tuples, in the same walk order."""
+    exponents, members = _walk(av, bv, x)
+    return list(zip(exponents.tolist(), map(tuple, members.tolist())))
 
 
 @dataclass(frozen=True)
 class IndexSet:
     """Enumerated {h : exponent(h) < threshold} with its exact count.
 
-    Members are listed by nondecreasing exponent, ties broken by plain
-    lexicographic order on the component vector (negatives first);
-    ``member_exponents`` holds E(h) for each member, in the same order.
+    Held as two arrays: ``member_array`` (int64, one row per member) and
+    ``exponent_array`` (E(h) for each row, float64), listed by
+    nondecreasing exponent, ties broken by plain lexicographic order on
+    the component vector (negatives first).  ``members`` and
+    ``member_exponents`` are the same rows as tuples, built on first use.
+    The set is fixed by ``params`` and ``threshold``, so equality reads
+    those and the count only.
     """
 
     params: KorobovParams
     threshold: float
-    members: tuple[tuple[int, ...], ...]
     count: int
-    member_exponents: tuple[float, ...] = field(repr=False, compare=False)
+    member_array: np.ndarray = field(repr=False, compare=False)
+    exponent_array: np.ndarray = field(repr=False, compare=False)
 
     def __post_init__(self):
-        if not (self.count == len(self.members) == len(self.member_exponents)):
+        if not (self.count == len(self.member_array) == len(self.exponent_array)):
             raise ValueError("count does not match the member list")
+
+    @cached_property
+    def members(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(map(tuple, self.member_array.tolist()))
+
+    @cached_property
+    def member_exponents(self) -> tuple[float, ...]:
+        return tuple(self.exponent_array.tolist())
 
     def __contains__(self, h) -> bool:
         return weight_exponent(self.params, h) < self.threshold
 
     def exponents(self) -> list[float]:
-        return list(self.member_exponents)
+        return self.exponent_array.tolist()
+
+
+def _sorted(exponents: np.ndarray, members: np.ndarray) -> np.ndarray:
+    """Order of the rows by (E(h), h_1, ..., h_s), as sorting the tuples would."""
+    return np.lexsort((*members.T[::-1], exponents))
 
 
 def enumerate_below(
@@ -206,14 +238,14 @@ def enumerate_below(
     total = count_below(params, x)
     if total > cap:
         raise CapExceeded("index set size", cap, needed=total)
-    pairs = _enumerate(a_values(params), b_values(params), x)
-    pairs.sort()
+    exponents, members = _walk(a_values(params), b_values(params), x)
+    order = _sorted(exponents, members)
     return IndexSet(
         params=params,
         threshold=float(x),
-        members=tuple(h for _, h in pairs),
-        count=len(pairs),
-        member_exponents=tuple(e for e, _ in pairs),
+        count=len(order),
+        member_array=members[order],
+        exponent_array=exponents[order],
     )
 
 

@@ -142,28 +142,32 @@ def error_upper_bound(alg: StdAlgorithm, tol: float = 1e-14) -> float:
 
 
 def _coset_rest(log_w: float, a: float, b: float, m: int, h: int, tol: float) -> float:
-    """sum over l != 0 of omega**(a*|h + m*l|**b), an upper value within
-    relative tol of the true sum.
+    """sum over l != 0 of omega**(a*|h + m*l|**b): a certified upper value
+    within relative tol of the true sum.
 
     Once m*l >= |h|, both progressions |h| + m*l and m*l - |h| grow by m
     per step, and (p + m*k)**b >= p**b + m**b * k for b >= 1, so all
     terms after step l sum to at most the two terms at l times q/(1-q),
     q = omega**(a*m**b).  That tail is added, and the sum stops once it
-    is below tol times the partial sum.
+    is below tol times the partial sum.  Each term's exponent is rounded
+    by at most 6u of its size (u the unit roundoff), most at the deepest
+    term, the exponentials and the sum add about one u per term, and
+    q/(1-q) comes from expm1 without cancellation: the result is widened
+    by 7u times the deepest exponent plus 2u per step and rounded up.
     """
-    q = math.exp(a * float(m) ** b * log_w)
-    ratio = q / (1.0 - q)
+    c = -a * float(m) ** b * log_w
+    ratio = math.exp(-c) / -math.expm1(-c)  # q/(1-q), accurate also for q near 1
     r = abs(h)
     total = 0.0
     l = 0
     while True:
         l += 1
-        last = math.exp(_pow_term(a, r + m * l, b) * log_w) + math.exp(
-            _pow_term(a, m * l - r, b) * log_w
-        )
+        deep = _pow_term(a, r + m * l, b) * log_w
+        last = math.exp(deep) + math.exp(_pow_term(a, m * l - r, b) * log_w)
         total += last
         if m * l >= r and last * ratio <= tol * total:
-            return total + last * ratio
+            widen = (7.0 * abs(deep) + 2.0 * l + 12.0) * _U
+            return math.nextafter((total + last * ratio) * (1.0 + widen), math.inf)
 
 
 def gen_error_bound(alg: StdAlgorithm, tol: float = 1e-13) -> float:
@@ -175,9 +179,13 @@ def gen_error_bound(alg: StdAlgorithm, tol: float = 1e-13) -> float:
     and rest_j the rest of its coset; it is formed without that
     subtraction, as omega**E(h) * sum_j rho_j * prod_{i<j} (1 + rho_i)
     with rho_j = rest_j / own_j, so rounding stays relative to each
-    term.  Each rest_j is an upper value within relative ``tol``.
+    term.  Each rest_j is a certified upper value within relative ``tol``
+    and each rho_j is rounded up.  The radicand is widened by the
+    rounding of the sum (|A| u of it), of each member's weight (its
+    exponent, below log M, carries (s+6)u of itself) and of the products
+    (3s u), and the root is rounded up.
     """
-    params = alg.params
+    params, s = alg.params, alg.params.s
     av, bv = a_values(params), b_values(params)
     mesh = alg.grid.mesh
     log_w = -params.log_inv_omega
@@ -187,20 +195,25 @@ def gen_error_bound(alg: StdAlgorithm, tol: float = 1e-13) -> float:
         key = (j, abs(hj))
         got = cache.get(key)
         if got is None:
-            own = math.exp(_pow_term(av[j], hj, bv[j]) * log_w)
-            got = _coset_rest(log_w, av[j], bv[j], mesh[j], hj, tol) / own
+            arg = _pow_term(av[j], hj, bv[j]) * log_w
+            widen = (6.0 * abs(arg) + 5.0) * _U
+            rest = _coset_rest(log_w, av[j], bv[j], mesh[j], hj, tol)
+            got = math.nextafter(rest / math.exp(arg) * (1.0 + widen), math.inf)
             cache[key] = got
         return got
 
     alias_total = 0.0
-    for e, h in zip(alg.index_set.member_exponents, alg.index_set.members):
+    for e, h in zip(alg.index_set.exponent_array.tolist(), alg.index_set.member_array.tolist()):
         grown, spill = 1.0, 0.0
         for j, hj in enumerate(h):
             r = rho(j, hj)
             spill += r * grown
             grown *= 1.0 + r
         alias_total += math.exp(e * log_w) * spill
-    return math.sqrt(1.0 / alg.M + alias_total)
+    per_term = (s + 6.0) * (abs(math.log(alg.M)) + 1.0) + 3.0 * s + 6.0
+    widen = (alg.index_set.count + per_term) * _U * alias_total
+    radicand = (1.0 / alg.M + alias_total + widen) * (1.0 + 4.0 * _U)
+    return math.nextafter(math.sqrt(radicand), math.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -553,11 +566,10 @@ def exact_worst_case_error(
 
     # Group the window by coset: one stable sort on the residues mod the
     # mesh keeps exponents ascending, so weights descend, within a coset.
-    residues = np.array(window.members, dtype=np.int64).reshape(window.count, params.s)
-    residues %= np.array(alg.grid.mesh, dtype=np.int64)
+    residues = window.member_array % np.array(alg.grid.mesh, dtype=np.int64)
     order = np.lexsort(residues.T[::-1])
     residues = residues[order]
-    exponents = np.array(window.member_exponents)[order]
+    exponents = window.exponent_array[order]
     ids = np.concatenate(([0], np.cumsum(np.any(residues[1:] != residues[:-1], axis=1))))
     coset_count = int(ids[-1]) + 1
     sizes = np.bincount(ids)

@@ -5,18 +5,24 @@ are the squared singular values of approximating the space inside L2.
 The n-th minimal error with unrestricted linear information is the
 square root of the (n+1)-st sorted weight, and the number of weights
 above eps**2 is the information complexity at accuracy eps.
+
+The k largest weights come from count, walk and sort: the exact count
+fixes a budget holding at least k frequencies, the array walk of
+``index_set`` lists them once, and one lexsort by (exponent, frequency
+vector) orders them; ties at the cut keep that global order.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
+
+import numpy as np
 
 from ._series import log_product_ceiling
 from .errors import InvalidParameterError
-from .index_set import _exponent, count_below, exponent_budget, weight_exponent
+from .index_set import _count, _sorted, _walk, count_below, exponent_budget, weight_exponent
 from .params import KorobovParams, a_values, b_values
 from .space import FourierPolynomial
 
@@ -34,17 +40,38 @@ __all__ = [
 class Spectrum:
     """The k largest weights with their frequencies.
 
-    ``eigenvalues`` is nonincreasing and starts at 1 (the origin); ties
-    are ordered lexicographically by frequency vector for determinism.
-    ``exponents`` carries the same information in log scale
-    (eigenvalue = omega**exponent); deep spectra underflow in linear
-    scale, so rate computations should read the exponents.
+    Held as two arrays: ``exponent_array`` (float64, nondecreasing, starting
+    at 0 for the origin) and ``member_array`` (int64, one frequency per
+    row); ties are ordered lexicographically by frequency vector for
+    determinism.  ``eigenvalues``, ``indices`` and ``exponents`` are the
+    same rows as tuples, built on first use (eigenvalue =
+    omega**exponent).  Deep spectra underflow in linear scale, so rate
+    computations should read the exponents.  A spectrum is fixed by
+    ``params`` and ``k``, so equality reads those only.
     """
 
     params: KorobovParams
-    eigenvalues: tuple[float, ...]
-    indices: tuple[tuple[int, ...], ...]
-    exponents: tuple[float, ...]
+    k: int
+    exponent_array: np.ndarray = field(repr=False, compare=False)
+    member_array: np.ndarray = field(repr=False, compare=False)
+
+    def eigenvalue(self, n: int) -> float:
+        """The (n+1)-st largest weight, omega**exponent in linear scale."""
+        log_w = -self.params.log_inv_omega
+        return math.exp(float(self.exponent_array[n]) * log_w)
+
+    @cached_property
+    def eigenvalues(self) -> tuple[float, ...]:
+        log_w = -self.params.log_inv_omega
+        return tuple(math.exp(e * log_w) for e in self.exponent_array.tolist())
+
+    @cached_property
+    def indices(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(map(tuple, self.member_array.tolist()))
+
+    @cached_property
+    def exponents(self) -> tuple[float, ...]:
+        return tuple(self.exponent_array.tolist())
 
     @property
     def top(self) -> list[tuple[float, tuple[int, ...]]]:
@@ -52,59 +79,52 @@ class Spectrum:
 
     def log_inv_error(self, n: int) -> float:
         """log(1/e(n)) for the n-th minimal error, exact in log scale."""
-        return 0.5 * self.exponents[n] * self.params.log_inv_omega
+        return 0.5 * float(self.exponent_array[n]) * self.params.log_inv_omega
 
     def __len__(self) -> int:
-        return len(self.eigenvalues)
+        return self.k
+
+
+def _budget_for(av: tuple[float, ...], bv: tuple[float, ...], k: int) -> float:
+    """A budget x with k <= _count(av, bv, x) <= about 1.25 k.
+
+    The budget doubles until the count reaches k and is then bisected
+    down.  Where one tie block holds more than k/4 frequencies the count
+    jumps past 1.25 k at a single exponent; the bisection then stops when
+    the bracket closes, and the count stays above 1.25 k.
+    """
+    lo, hi = 0.0, min(av)
+    count = _count(av, bv, hi)
+    while count < k:
+        lo, hi = hi, 2.0 * hi
+        count = _count(av, bv, hi)
+    while count > 1.25 * k:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        got = _count(av, bv, mid)
+        if got < k:
+            lo = mid
+        else:
+            hi, count = mid, got
+    return hi
 
 
 def top_eigenvalues(params: KorobovParams, k: int) -> Spectrum:
-    """Best-first enumeration of the k largest weights.
+    """The k largest weights, by count, walk and sort.
 
-    Nonnegative orbit representatives are expanded from the origin one
-    coordinate increment at a time (the exponent is coordinatewise
-    monotone, so a heap pops them in nondecreasing exponent order); each
-    representative then fans out into its sign variants, which share the
-    weight.  Groups of equal exponent are finished before truncating so
-    tie order is well defined.
+    A budget x is searched on the exact count until k <= count(x) <=
+    about 1.25 k; the frequencies below x are walked once as arrays
+    (``index_set._walk``) and sorted by (exponent, frequency vector), and
+    the first k are kept.  Every frequency with the k-th exponent lies
+    below x, so the tie order at the cut is the global one.
     """
     if not (isinstance(k, int) and k >= 1):
         raise InvalidParameterError("term_undefined", f"k must be a positive integer, got {k!r}")
     av, bv = a_values(params), b_values(params)
-    s = params.s
-    log_w = -params.log_inv_omega
-    origin = (0,) * s
-    heap: list[tuple[float, tuple[int, ...]]] = [(0.0, origin)]
-    seen = {origin}
-    ordered: list[tuple[float, tuple[int, ...]]] = []
-
-    while heap and (len(ordered) < k or heap[0][0] == ordered[-1][0]):
-        exponent = heap[0][0]
-        group: list[tuple[int, ...]] = []
-        while heap and heap[0][0] == exponent:
-            _, m = heapq.heappop(heap)
-            group.append(m)
-            for j in range(s):
-                bumped = m[:j] + (m[j] + 1,) + m[j + 1 :]
-                if bumped not in seen:
-                    seen.add(bumped)
-                    heapq.heappush(heap, (_exponent(av, bv, bumped), bumped))
-        signed: list[tuple[int, ...]] = []
-        for m in group:
-            live = [j for j in range(s) if m[j]]
-            for signs in itertools.product((-1, 1), repeat=len(live)):
-                h = list(m)
-                for j, sign in zip(live, signs):
-                    h[j] = sign * m[j]
-                signed.append(tuple(h))
-        signed.sort()
-        ordered.extend((exponent, h) for h in signed)
-
-    ordered = ordered[:k]
-    eigenvalues = tuple(math.exp(e * log_w) for e, _ in ordered)
-    indices = tuple(h for _, h in ordered)
-    exponents = tuple(e for e, _ in ordered)
-    return Spectrum(params=params, eigenvalues=eigenvalues, indices=indices, exponents=exponents)
+    exponents, members = _walk(av, bv, _budget_for(av, bv, k))
+    order = _sorted(exponents, members)[:k]
+    return Spectrum(params=params, k=k, exponent_array=exponents[order], member_array=members[order])
 
 
 def nth_minimal_error(params: KorobovParams, n: int) -> float:
@@ -117,8 +137,7 @@ def nth_minimal_error(params: KorobovParams, n: int) -> float:
         raise InvalidParameterError("term_undefined", f"n must be nonnegative, got {n}")
     if n == 0:
         return 1.0
-    spectrum = top_eigenvalues(params, n + 1)
-    return math.sqrt(spectrum.eigenvalues[n])
+    return math.sqrt(top_eigenvalues(params, n + 1).eigenvalue(n))
 
 
 def information_complexity(params: KorobovParams, eps: float) -> int:
