@@ -21,6 +21,7 @@ config, 2 verdicts left unknown.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import math
@@ -155,9 +156,15 @@ def _cmd_convergence(args) -> int:
     params = _params_of(config, args.config)
     eps_values = sorted(_eps_list(config), reverse=True)
 
-    rows: list[tuple[int, float, float, object]] = []
+    # A grid over cap_n is a row (needed n, cap_exceeded x 3), kept out of
+    # the spectrum's size and both fits.
+    rows: list[tuple[int, float, float | None, object]] = []
     for eps in eps_values:
-        choice = mesh_for_accuracy(params, eps, cap_n=args.cap_n)
+        try:
+            choice = mesh_for_accuracy(params, eps, cap_n=args.cap_n)
+        except CapExceeded as exc:
+            rows.append((exc.needed, eps, None, "cap_exceeded"))
+            continue
         alg = build_std_algorithm(params, choice.M, choice.grid, cap_set=args.cap_set)
         n = choice.grid.n
         bound = error_upper_bound(alg)
@@ -168,12 +175,15 @@ def _cmd_convergence(args) -> int:
             exact = "trunc_overflow"
         rows.append((n, eps, bound, exact))
 
-    max_n = max(n for n, *_ in rows)
+    max_n = max((n for n, _, bound, _ in rows if bound is not None), default=0)
     spectrum = top_eigenvalues(params, max_n + 1)
     lines = ["n,e_all,e_std_bound,e_std_exact"]
     pairs_all: list[tuple[float, float]] = []
     pairs_std: list[tuple[float, float]] = []
     for n, eps, bound, exact in rows:
+        if bound is None:
+            lines.append(f"{n},cap_exceeded,cap_exceeded,cap_exceeded")
+            continue
         e_all = math.sqrt(spectrum.eigenvalue(n))
         lines.append(",".join(_fmt(c) for c in (n, e_all, bound, exact)))
         pairs_all.append((n, e_all))
@@ -238,7 +248,9 @@ def _cmd_integrate(args) -> int:
 # Entry point.
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # Built once per process: parse_args leaves the parser as it found it.
     parser = argparse.ArgumentParser(prog="korobov", description=__doc__.split("\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
     for name, handler in (

@@ -11,9 +11,10 @@ accuracy eps with n growing polylogarithmically in 1/eps, and an odd
 weight-adapted rule whose mesh sizes collapse to 1 as the coordinate
 weights grow.  An exact worst-case-error oracle certifies both: it
 brackets the top singular value of every dual-lattice coset's error
-matrix by bisection on an inertia count that costs two sums per probe,
-run on all cosets at once, so no matrix is formed.  The bisection gap
-and the neglected tail are reported as explicit slack, never absorbed.
+matrix by certified probes of an inertia count, each costing a few sums
+per coset, placed by a safeguarded Newton step and run on all cosets at
+once, so no matrix is formed.  The bracket gap and the neglected tail
+are reported as explicit slack, never absorbed.
 """
 
 from __future__ import annotations
@@ -378,14 +379,18 @@ def default_truncation(alg: StdAlgorithm) -> float:
 
 
 _U = 2.0**-53  # unit roundoff of float64
-# The bisection stops once hi <= lo * (1 + _BRACKET_RTOL), a few ulps.
+# A group stops once hi <= lo * (1 + _BRACKET_RTOL), a few ulps.
 _BRACKET_RTOL = 2.0**-50
-# Where a probe lands between lo and hi: the geometric midpoint (entry
-# 0), then, after an undecided probe, the points a quarter and three
-# quarters of the way; once they are used up the group keeps its
-# certified bracket.
+# Where a probe lands between lo and hi when no Newton point is taken:
+# the geometric midpoint (entry 0), then, after an undecided probe, the
+# points a quarter and three quarters of the way; once they are used up
+# the group keeps its certified bracket.
 _RETRY_AT = np.array([0.5, 0.25, 0.75])
 _MAX_PROBES = 200
+# A group also stops once hi - lo is within this many resolutions
+# (rounding band of det S over its slope) measured at its last undecided
+# probe: three nudges, below which a certified probe narrows it little.
+_SETTLED = 6.0
 
 
 def _top_sq_brackets(
@@ -407,9 +412,19 @@ def _top_sq_brackets(
     with alpha and beta the sums of w_i**2 / (w_i**2 - lam) over the kept
     and the discarded entries, so det S = alpha beta - (p - 2) alpha - p beta - 1.
     A probe costs those sums, taken for every live group at once with
-    the absolute rounding bound (n + 4) * u * sum|terms|; it moves lo or hi
-    only when the signs of det S and S_11 are certified, and an undecided
-    probe is retried at two other points before the group stops.
+    the absolute rounding bound (n + 4) * u * sum|terms|, and the two sums
+    behind the slope of det S; it moves lo or hi only when the signs of
+    det S and S_11 are certified.
+
+    A safeguarded Newton step on det S chooses where the next probe
+    goes, and nothing else: it is nudged past the root by twice the
+    resolution (the rounding band over the slope) so that both ends
+    close in, and it is taken when it lands strictly inside (lo, hi) and
+    is under half the previous step.  Otherwise the probe goes to the
+    geometric midpoint, or after an undecided probe a quarter or three
+    quarters of the way.  A group stops at a few-ulp bracket, at three
+    undecided probes in a row, or once its bracket is within
+    ``_SETTLED`` resolutions.
 
     lo starts at the largest row or column norm**2 (a Rayleigh quotient),
     hi at 2 * ||M||_F**2; a group without kept entries is diagonal and
@@ -447,33 +462,40 @@ def _top_sq_brackets(
     hi = np.where(has_kept, 2.0 * ((p - 1.0) * kept_total + (p + 1.0) * disc_total), disc_max)
 
     # Arrays of the live groups and their entries, kept and discarded
-    # apart; k_id and d_id index the live groups.
+    # apart; k_id and d_id index the live groups.  Per group, guess is
+    # the Newton point for the next probe (nan: none), step the length of
+    # the last Newton step and res the resolution at the last undecided
+    # probe.
     groups, p_l, scale = np.arange(n_groups), p, (n + 4.0) * _U
     lo_l, hi_l, tries = lo.copy(), hi.copy(), np.zeros(n_groups, dtype=np.int64)
+    guess, step, res = np.full(n_groups, np.nan), np.full(n_groups, np.inf), np.zeros(n_groups)
     k_sq, k_id = sq[kept], ids[kept]
     d_sq, d_id = sq[~kept], ids[~kept]
     floor = float(lo.max(initial=0.0))
 
-    for _ in range(_MAX_PROBES):
-        live = (hi_l > lo_l * (1.0 + _BRACKET_RTOL)) & (hi_l >= floor) & (tries < _RETRY_AT.size)
-        if not live.all():
-            local = np.cumsum(live) - 1
-            keep_k, keep_d = live[k_id], live[d_id]
-            k_sq, k_id = k_sq[keep_k], local[k_id[keep_k]]
-            d_sq, d_id = d_sq[keep_d], local[d_id[keep_d]]
-            groups, p_l, scale = groups[live], p_l[live], scale[live]
-            lo_l, hi_l, tries = lo_l[live], hi_l[live], tries[live]
-        if groups.size == 0:
-            break
-        m = groups.size
-        mid = np.where(lo_l > 0.0, np.sqrt(lo_l) * np.sqrt(hi_l), 0.5 * hi_l)
-        lam = np.where(tries == 0, mid, lo_l + _RETRY_AT[tries] * (hi_l - lo_l))
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(_MAX_PROBES):
+            live = (hi_l > lo_l * (1.0 + _BRACKET_RTOL)) & (hi_l >= floor)
+            live &= (tries < _RETRY_AT.size) & (hi_l - lo_l > _SETTLED * res)
+            if not live.all():
+                local = np.cumsum(live) - 1
+                keep_k, keep_d = live[k_id], live[d_id]
+                k_sq, k_id = k_sq[keep_k], local[k_id[keep_k]]
+                d_sq, d_id = d_sq[keep_d], local[d_id[keep_d]]
+                groups, p_l, scale = groups[live], p_l[live], scale[live]
+                lo_l, hi_l, tries = lo_l[live], hi_l[live], tries[live]
+                guess, step, res = guess[live], step[live], res[live]
+            if groups.size == 0:
+                break
+            m = groups.size
+            mid = np.where(lo_l > 0.0, np.sqrt(lo_l) * np.sqrt(hi_l), 0.5 * hi_l)
+            lam = np.where(tries == 0, mid, lo_l + _RETRY_AT[tries] * (hi_l - lo_l))
+            lam = np.where((guess > lo_l) & (guess < hi_l), guess, lam)
             lam_k = lam[k_id]
-            gap_k = k_sq - lam_k
+            gap_k, gap_d = k_sq - lam_k, d_sq - lam[d_id]
             t_k = k_sq / gap_k
             r_k = lam_k / gap_k  # t_k - 1, without its cancellation
-            t_d = d_sq / (d_sq - lam[d_id])
+            t_d = d_sq / gap_d
             alpha = np.bincount(k_id, weights=t_k, minlength=m)
             shift = np.bincount(k_id, weights=r_k, minlength=m)  # alpha - p
             beta = np.bincount(d_id, weights=t_d, minlength=m)
@@ -512,14 +534,40 @@ def _top_sq_brackets(
             one = det_neg
             two = det_pos & (shift < -err_s)
             zero = det_pos & (shift > err_s)
-        decided = one | two | zero
-        # #{eig > lam} >= 1 exactly when lam lies below the top eigenvalue
-        below = decided & (above + one + 2.0 * two >= 2.0)
-        lo_l = np.where(below, np.maximum(lo_l, lam), lo_l)
-        hi_l = np.where(decided & ~below, np.minimum(hi_l, lam), hi_l)
-        tries = np.where(decided, 0, tries + 1)
-        lo[groups], hi[groups] = lo_l, hi_l
-        floor = max(floor, float(lo_l.max()))
+            decided = one | two | zero
+            # #{eig > lam} >= 1 exactly when lam lies below the top eigenvalue
+            below = decided & (above + one + 2.0 * two >= 2.0)
+            lo_l = np.where(below, np.maximum(lo_l, lam), lo_l)
+            hi_l = np.where(decided & ~below, np.minimum(hi_l, lam), hi_l)
+            tries = np.where(decided, 0, tries + 1)
+
+            # The next point: a Newton step on det S, whose derivative is
+            # alpha' (beta - p + 2) + beta' shift with alpha' and beta' the
+            # sums of w_i**2 / (w_i**2 - lam)**2, taken on the form with the
+            # smaller band.  For p = 1, det S = shift (beta + 1), and the
+            # pole of shift at the kept weight is no eigenvalue: the step is
+            # taken on beta + 1.  The point is nudged toward the farther
+            # bracket end by twice the resolution (band / |derivative|), so
+            # the next probe lands past the root and both ends close in.
+            d_alpha = np.bincount(k_id, weights=t_k / gap_k, minlength=m)
+            d_beta = np.bincount(d_id, weights=t_d / gap_d, minlength=m)
+            single = p_l == 1.0
+            g = np.where(single, beta + 1.0, np.where(err_det_a <= err_det_s, det_a, det_s))
+            band = np.minimum(err_det_a, err_det_s) / np.where(single, np.abs(shift), 1.0)
+            dg = np.where(single, d_beta, d_alpha * (beta - p_l + 2.0) + d_beta * shift)
+            newton = g / dg
+            resolution = band / np.abs(dg)
+            nudge = np.maximum(2.0 * resolution, 2.0**-52 * lam)
+            target = lam - newton
+            target = target + np.where(hi_l - target > target - lo_l, nudge, -nudge)
+            target = np.minimum(np.maximum(target, lo_l + nudge), hi_l - nudge)
+            # a step that does not halve the last one falls back to the
+            # midpoint (the safeguard of Numerical Recipes' rtsafe)
+            guess = np.where(np.abs(newton) < 0.5 * step, target, np.nan)
+            step = np.abs(newton)
+            res = np.where(~decided & (resolution < np.inf), resolution, res)
+            lo[groups], hi[groups] = lo_l, hi_l
+            floor = max(floor, float(lo_l.max()))
     return lo, hi
 
 
@@ -538,8 +586,9 @@ def exact_worst_case_error(
     coset total, discarded unchanged), the matrix diag(w) - outer(kept, w)
     whose largest singular value is the coset's exact worst case.  That
     value is bracketed without forming the matrix (``_top_sq_brackets``:
-    bisection on an inertia count that costs two sums per probe, run on
-    every coset at once), and the global value is the max over cosets.
+    certified probes of an inertia count, a few sums each, placed by a
+    safeguarded Newton step and run on every coset at once), and the
+    global value is the max over cosets.
     ``value`` is the square root of the largest lower end, rounded down;
     the gap up to the largest upper end goes into slack_sq.
 

@@ -131,3 +131,66 @@ def test_determinism_byte_identical(tmp_path):
         assert main([command, "--config", cfg, "--out", str(out1), "--seed", "7"]) == 0
         assert main([command, "--config", cfg, "--out", str(out2), "--seed", "7"]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_parser_is_built_once_and_keeps_no_state(tmp_path, capsys):
+    from korobov.cli import _build_parser
+
+    assert _build_parser() is _build_parser()
+    eps = [0.4, 0.2, 0.1, 0.05]
+    conv = write(tmp_path, "v.json", dict(BASE, s=1, eps=eps))
+    integ = write(tmp_path, "i.json", dict(BASE, M=4.0, trunc_x=30.0, meshes=[[2, 2], [3, 4]]))
+    comp = write(tmp_path, "c.json", dict(BASE, eps=eps, s_list=[1, 2]))
+
+    def run(*argv):
+        out = tmp_path / "out.csv"
+        assert main([*argv, "--out", str(out)]) == 0
+        return out.read_bytes()
+
+    def run_stdout(*argv):
+        capsys.readouterr()
+        assert main(list(argv)) == 0
+        return capsys.readouterr().out.encode()
+
+    first = {
+        "convergence": run("convergence", "--config", conv),
+        "integrate": run("integrate", "--config", integ),
+        "complexity": run("complexity", "--config", comp),
+    }
+    assert run("convergence", "--config", conv) == first["convergence"]
+    # other subcommands and flags in between leave the defaults untouched
+    capped = run("convergence", "--config", conv, "--cap-n", "10")
+    assert b"cap_exceeded" in capped and capped != first["convergence"]
+    tight = run_stdout("integrate", "--config", integ, "--coset-cap", "1")
+    assert b"cap_exceeded" in tight
+    assert run_stdout("complexity", "--config", comp) == first["complexity"]
+    for command, cfg in (("integrate", integ), ("convergence", conv), ("complexity", comp)):
+        assert run(command, "--config", cfg) == first[command]
+        assert run_stdout(command, "--config", cfg) == first[command]
+
+
+def test_convergence_marks_capped_grids(tmp_path):
+    # at eps = 0.2 the accuracy grid needs 1,611,498 points, over the
+    # default cap of 10**6: every such row stays, marked, out of the fits
+    cfg = write(tmp_path, "cap.json", {
+        "omega": 0.55, "s": 3,
+        "a": {"family": "explicit", "values": [1, 1.17, 1.43]},
+        "b": {"family": "explicit", "values": [1, 1.09, 1.21]},
+        "eps": [0.4, 0.2, 0.1, 0.07, 0.05, 0.03, 0.02, 0.015],
+    })
+    out = tmp_path / "cap.csv"
+    assert main(["convergence", "--config", cfg, "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    rows = [l.split(",") for l in lines[1:] if not l.startswith("#")]
+    assert len(rows) == 8
+    n, e_all, bound, exact = rows[0]
+    assert int(n) <= 10**6 and 0 < float(e_all) <= float(exact) <= float(bound)
+    assert rows[1][0] == "1611498"
+    needed = [int(r[0]) for r in rows[1:]]
+    assert needed == sorted(needed) and needed[0] > 10**6
+    assert all(r[1:] == ["cap_exceeded"] * 3 for r in rows[1:])
+    # one row fits, and a fit needs two
+    assert [l for l in lines if l.startswith("#fit")] == [
+        "#fit,e_all,n/a,n/a,n/a",
+        "#fit,e_std_exact,n/a,n/a,n/a",
+    ]
