@@ -1,11 +1,12 @@
 """Certified weight series and the product form over coordinates.
 
 The only place that sums S(a, b) = sum_{h>=1} omega**(a*h**b), b >= 1,
-forms the product prod_j (1 + 2 S(a_j, b_j)) = sum_h omega**E(h), or
-bounds the mass beyond an enumerated window; dual lattices enter as
-scaled weights a_j*m_j**b_j or a_j*(m_j/2)**b_j.  Results are certified
-in floating point and rounded up: u = 2**-53, elementary functions within
-8 u, arithmetic within u, and 2**-1070 per result for subnormals.
+forms the product prod_j (1 + 2 S(a_j, b_j)) = sum_h omega**E(h), from
+above or from below, or bounds the mass beyond an enumerated window;
+dual lattices enter as scaled weights a_j*m_j**b_j or a_j*(m_j/2)**b_j.
+Results are certified in floating point, upper values rounded up and
+lower values down: u = 2**-53, elementary functions within 8 u,
+arithmetic within u, and 2**-1070 per result for subnormals.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ from typing import Sequence
 
 import numpy as np
 
-__all__ = ["weight_terms", "weight_sum_upper", "nonzero_mass_upper", "series_ceiling",
-           "log_product_ceiling", "beyond_window_mass"]
+__all__ = ["weight_terms", "weight_sum_upper", "nonzero_mass_upper", "nonzero_mass_lower",
+           "series_ceiling", "log_product_ceiling", "beyond_window_mass"]
 
 _MAX_TERMS = 10**7
 _U = 2.0**-53  # unit roundoff of float64
@@ -65,20 +66,43 @@ def weight_sum_upper(omega: float, a: float, b: float, tol: float = 1e-16) -> fl
     return math.nextafter((math.fsum(terms.tolist()) + widen + tail) * (1.0 + 4.0 * _U), math.inf)
 
 
+def _factor_tol(omega: float, av: Sequence[float], bv: Sequence[float], tol: float) -> float:
+    """Tolerance tol / (4 s C) of each factor's series, C the product's ceiling."""
+    log_inv = -math.log(omega)
+    return tol / (4.0 * len(av)) * math.exp(-log_product_ceiling([a * log_inv for a in av], bv))
+
+
 def nonzero_mass_upper(omega: float, av: Sequence[float], bv: Sequence[float], tol: float = 1e-14) -> float:
     """Certified upper value of sum_{h != 0} omega**E(h) = prod_j (1 + 2 S_j) - 1,
     formed as sum_j 2 S_j prod_{i<j} (1 + 2 S_i), never as product - 1, so
     its rounding, (4 s + 4) u, stays relative to the mass.  Each S_j is a
     :func:`weight_sum_upper` at tolerance tol / (4 s C), C the product's
     ceiling, so the result is within tol plus its margins above the mass."""
-    log_inv, s = -math.log(omega), len(av)
-    per_factor = tol / (4.0 * s) * math.exp(-log_product_ceiling([a * log_inv for a in av], bv))
+    s, per_factor = len(av), _factor_tol(omega, av, bv, tol)
     grown, mass = 1.0, 0.0
     for a, b in zip(av, bv):
         rho = 2.0 * weight_sum_upper(omega, a, b, tol=per_factor)
         mass += rho * grown
         grown += rho * grown
     return math.nextafter(mass * (1.0 + (4.0 * s + 4.0) * _U) + s * _TINY, math.inf)
+
+
+def nonzero_mass_lower(omega: float, av: Sequence[float], bv: Sequence[float], tol: float = 1e-14) -> float:
+    """Certified lower value of sum_{h != 0} omega**E(h), the same
+    sum_j 2 S_j prod_{i<j} (1 + 2 S_i) as :func:`nonzero_mass_upper` with
+    every step rounded down: each S_j is the ``math.fsum`` of its terms
+    minus their margins, narrowed by 4 u, and its tail is dropped.  The
+    terms are those :func:`nonzero_mass_upper` sums, so the two values
+    differ by the tails and the margins."""
+    s, per_factor = len(av), _factor_tol(omega, av, bv, tol)
+    grown, mass = 1.0, 0.0
+    for a, b in zip(av, bv):
+        terms, _, margin = weight_terms(omega, a, b, per_factor)
+        widen = math.fsum((terms * margin).tolist()) + terms.size * _TINY
+        rho = 2.0 * max((math.fsum(terms.tolist()) - widen) * (1.0 - 4.0 * _U), 0.0)
+        mass += rho * grown
+        grown += rho * grown
+    return max(math.nextafter(mass * (1.0 - (4.0 * s + 4.0) * _U) - s * _TINY, 0.0), 0.0)
 
 
 def series_ceiling(c: float, b: float) -> float:
@@ -103,9 +127,9 @@ def log_product_ceiling(cv: Sequence[float], bv: Sequence[float]) -> float:
 def beyond_window_mass(
     omega: float, av: Sequence[float], bv: Sequence[float], x: float,
     window_weights: Sequence[float], tol: float = 1e-14,
-) -> tuple[float, float, float]:
-    """Certified upper values of omega**x, of the window's mass and of the
-    mass sum_{E(h) >= x} omega**E(h) beyond it.
+) -> tuple[float, float]:
+    """Certified upper values of omega**x and of the mass
+    sum_{E(h) >= x} omega**E(h) beyond the window.
 
     The window is the h != 0 with float exponent below x, weighing
     ``window_weights``.  Outside it exponents are >= x (1 - (s + 8) u), s
@@ -128,7 +152,6 @@ def beyond_window_mass(
     window = math.fsum(w.tolist())
     err = math.fsum((w * ((s + 12.0) * -np.log(np.maximum(w, _TINY)) + 16.0)).tolist())
     err = err * _U + w.size * _TINY
-    window_hi = math.nextafter(window + err, math.inf)
     by_total = nonzero_mass_upper(omega, av, bv, tol) - (window - err)
 
     best = math.inf
@@ -138,4 +161,4 @@ def beyond_window_mass(
         # the subtraction and exp round within (ceiling + 2 theta reach + 4) u
         best = min(best, ceiling - theta * reach + (ceiling + 2.0 * theta * reach + 4.0) * _U)
     by_trace = math.exp(best) + _TINY if best < _LOG_HUGE else math.inf
-    return sup, window_hi, math.nextafter(max(min(by_total, by_trace), 0.0), math.inf)
+    return sup, math.nextafter(max(min(by_total, by_trace), 0.0), math.inf)

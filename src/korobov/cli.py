@@ -156,8 +156,9 @@ def _cmd_convergence(args) -> int:
     params = _params_of(config, args.config)
     eps_values = sorted(_eps_list(config), reverse=True)
 
-    # A grid over cap_n is a row (needed n, cap_exceeded x 3), kept out of
-    # the spectrum's size and both fits.
+    # A grid over cap_n is a row (needed n, cap_exceeded x 3), and so is a
+    # grid whose kept set is over cap_set (its n, cap_exceeded x 3); both
+    # are kept out of the spectrum's size and both fits.
     rows: list[tuple[int, float, float | None, object]] = []
     for eps in eps_values:
         try:
@@ -165,8 +166,12 @@ def _cmd_convergence(args) -> int:
         except CapExceeded as exc:
             rows.append((exc.needed, eps, None, "cap_exceeded"))
             continue
-        alg = build_std_algorithm(params, choice.M, choice.grid, cap_set=args.cap_set)
         n = choice.grid.n
+        try:
+            alg = build_std_algorithm(params, choice.M, choice.grid, cap_set=args.cap_set)
+        except CapExceeded:
+            rows.append((n, eps, None, "cap_exceeded"))
+            continue
         bound = error_upper_bound(alg)
         try:
             oracle = exact_worst_case_error(alg, cap_set=args.cap_set, coset_cap=args.coset_cap)
@@ -218,12 +223,7 @@ def _cmd_integrate(args) -> int:
         grid = RegularGrid(tuple(int(m) for m in mesh))
         alg = build_std_algorithm(params, float(m_value), grid, cap_set=args.cap_set)
         trunc = config.get("trunc_x", default_truncation(alg))
-        rule = GridRule(grid)
-        try:
-            res = worst_case_int_error(params, rule, trunc, cap=args.cap_set)
-            int_cells = [res.value, res.slack]
-        except CapExceeded:
-            int_cells = ["cap_exceeded", "cap_exceeded"]
+        res = worst_case_int_error(params, GridRule(grid), trunc)
         try:
             orc = exact_worst_case_error(
                 alg, trunc, cap_set=args.cap_set, coset_cap=args.coset_cap
@@ -235,7 +235,8 @@ def _cmd_integrate(args) -> int:
         cells = [
             "x".join(str(m) for m in grid.mesh),
             grid.n,
-            *int_cells,
+            res.value,
+            res.slack,
             *app_cells,
             "n/a" if lower is None else lower,
         ]

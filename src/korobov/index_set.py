@@ -7,7 +7,9 @@ are computed by a dimension recurrence and bracketed by closed-form
 products.  Members come from one walk held as arrays (``_walk``): a
 frontier of partial sums is extended one coordinate at a time, so
 enumeration, the spectrum and the oracle's window each get an exponent
-array and a member array without building a tuple per frequency.
+array and a member array without building a tuple per frequency.  The
+walk is kept in walk order; a set is sorted by (E(h), h) only when its
+members are first read in that order.
 
 Every threshold decision in the package is made here, by one
 arithmetic: E(h) is accumulated left to right over coordinates 1..s,
@@ -184,28 +186,47 @@ def _enumerate(
     return list(zip(exponents.tolist(), map(tuple, members.tolist())))
 
 
+def _sorted(exponents: np.ndarray, members: np.ndarray) -> np.ndarray:
+    """Order of the rows by (E(h), h_1, ..., h_s), as sorting the tuples would."""
+    return np.lexsort((*members.T[::-1], exponents))
+
+
 @dataclass(frozen=True)
 class IndexSet:
     """Enumerated {h : exponent(h) < threshold} with its exact count.
 
-    Held as two arrays: ``member_array`` (int64, one row per member) and
-    ``exponent_array`` (E(h) for each row, float64), listed by
+    Held as the walk's two arrays, ``walk_members`` (int64, one row per
+    member) and ``walk_exponents`` (E(h) for each row, float64), in walk
+    order.  The ordered views are built on first read, by one lexsort:
+    ``member_array`` and ``exponent_array`` list the rows by
     nondecreasing exponent, ties broken by plain lexicographic order on
-    the component vector (negatives first).  ``members`` and
-    ``member_exponents`` are the same rows as tuples, built on first use.
-    The set is fixed by ``params`` and ``threshold``, so equality reads
-    those and the count only.
+    the component vector (negatives first), and ``members`` and
+    ``member_exponents`` are the same rows as tuples.  A set nobody
+    reads in order is never sorted.  The set is fixed by ``params`` and
+    ``threshold``, so equality reads those and the count only.
     """
 
     params: KorobovParams
     threshold: float
     count: int
-    member_array: np.ndarray = field(repr=False, compare=False)
-    exponent_array: np.ndarray = field(repr=False, compare=False)
+    walk_exponents: np.ndarray = field(repr=False, compare=False)
+    walk_members: np.ndarray = field(repr=False, compare=False)
 
     def __post_init__(self):
-        if not (self.count == len(self.member_array) == len(self.exponent_array)):
+        if not (self.count == len(self.walk_members) == len(self.walk_exponents)):
             raise ValueError("count does not match the member list")
+
+    @cached_property
+    def _order(self) -> np.ndarray:
+        return _sorted(self.walk_exponents, self.walk_members)
+
+    @cached_property
+    def member_array(self) -> np.ndarray:
+        return self.walk_members[self._order]
+
+    @cached_property
+    def exponent_array(self) -> np.ndarray:
+        return self.walk_exponents[self._order]
 
     @cached_property
     def members(self) -> tuple[tuple[int, ...], ...]:
@@ -215,22 +236,25 @@ class IndexSet:
     def member_exponents(self) -> tuple[float, ...]:
         return tuple(self.exponent_array.tolist())
 
+    @cached_property
+    def _weights(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
+        return a_values(self.params), b_values(self.params)
+
     def __contains__(self, h) -> bool:
-        return weight_exponent(self.params, h) < self.threshold
+        if len(h) != self.params.s:
+            raise InvalidParameterError(
+                "term_undefined", f"frequency has length {len(h)}, expected {self.params.s}"
+            )
+        return _exponent(*self._weights, h) < self.threshold
 
     def exponents(self) -> list[float]:
         return self.exponent_array.tolist()
 
 
-def _sorted(exponents: np.ndarray, members: np.ndarray) -> np.ndarray:
-    """Order of the rows by (E(h), h_1, ..., h_s), as sorting the tuples would."""
-    return np.lexsort((*members.T[::-1], exponents))
-
-
 def enumerate_below(
     params: KorobovParams, x: float, cap: int = DEFAULT_SET_CAP
 ) -> IndexSet:
-    """Materialize the frequency set below budget x.
+    """Materialize the frequency set below budget x, in walk order.
 
     The cardinality is checked against ``cap`` first (counting is cheap),
     so the error carries the true size.
@@ -239,13 +263,12 @@ def enumerate_below(
     if total > cap:
         raise CapExceeded("index set size", cap, needed=total)
     exponents, members = _walk(a_values(params), b_values(params), x)
-    order = _sorted(exponents, members)
     return IndexSet(
         params=params,
         threshold=float(x),
-        count=len(order),
-        member_array=members[order],
-        exponent_array=exponents[order],
+        count=len(exponents),
+        walk_exponents=exponents,
+        walk_members=members,
     )
 
 

@@ -4,9 +4,11 @@ Averaging function values over a regular grid integrates every Fourier
 mode outside the dual lattice exactly, so the worst-case integration
 error over the unit ball is the square root of the weight mass on the
 nonzero dual lattice, attained by the element proportional to those
-weights.  Any sampling approximation algorithm induces an integration
-rule whose error it dominates; for the grid algorithm the induced rule
-is the uniform grid rule itself.
+weights.  That lattice is a product over coordinates, so the mass has
+an exact product form, bracketed in closed form by ``_series``.  Any
+sampling approximation algorithm induces an integration rule whose
+error it dominates; for the grid algorithm the induced rule is the
+uniform grid rule itself.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ._series import beyond_window_mass
+from ._series import nonzero_mass_lower, nonzero_mass_upper
 from .errors import CapExceeded, InvalidParameterError
 from .grids import DEFAULT_GRID_CAP, RegularGrid, sample_mean
 from .index_set import DEFAULT_SET_CAP, _count, _enumerate
@@ -52,18 +54,22 @@ def integrate(rule: GridRule, f: FourierPolynomial, cap_n: int = DEFAULT_GRID_CA
     return sample_mean(rule.grid, f, cap=cap_n)
 
 
+def _scaled_weights(params: KorobovParams, grid: RegularGrid) -> list[float]:
+    """Rescaled weights a_j * m_j**b_j, under which k has the exponent of
+    the dual point (m_1*k_1, ..., m_s*k_s)."""
+    return [a * float(m) ** b for a, b, m in zip(a_values(params), b_values(params), grid.mesh)]
+
+
 def _dual_window(
     params: KorobovParams, grid: RegularGrid, trunc_x: float, cap: int
-) -> tuple[list[float], list[tuple[float, tuple[int, ...]]]]:
-    """Rescaled weights a_j * m_j**b_j, under which k has the exponent of the
-    dual point (m_1*k_1, ..., m_s*k_s), and (exponent, k) for the nonzero dual
-    points below trunc_x: the counting machinery applies unchanged."""
-    bv = b_values(params)
-    scaled = [a * float(m) ** b for a, b, m in zip(a_values(params), bv, grid.mesh)]
+) -> list[tuple[float, tuple[int, ...]]]:
+    """(exponent, k) for the nonzero dual points below trunc_x, enumerated
+    on the rescaled weights: the counting machinery applies unchanged."""
+    scaled, bv = _scaled_weights(params, grid), b_values(params)
     total = _count(scaled, bv, trunc_x)
     if total > cap:
         raise CapExceeded("dual lattice window", cap, needed=total)
-    return scaled, [(e, k) for e, k in _enumerate(scaled, bv, trunc_x) if any(k)]
+    return [(e, k) for e, k in _enumerate(scaled, bv, trunc_x) if any(k)]
 
 
 def worst_case_int_error(
@@ -75,22 +81,32 @@ def worst_case_int_error(
 ) -> "IntErrorResult":
     """Worst-case integration error of the rule over the unit ball.
 
-    Equals sqrt(sum of weights over the nonzero dual lattice), enumerated
-    below trunc_x.  ``tail_sq`` holds the dual mass beyond, bounded like the
-    oracle's by :func:`beyond_window_mass`, plus the rounding of ``value``.
+    The dual lattice of a product grid is a product, so the squared error,
+    the weight mass on the nonzero dual lattice, is exactly
+    prod_j (1 + 2 S(a_j m_j**b_j, b_j)) - 1 over the rescaled weights.  It
+    is bracketed in closed form, with no window: ``value`` is the square
+    root of :func:`nonzero_mass_lower`, rounded down, and ``tail_sq`` the
+    gap up to :func:`nonzero_mass_upper`, rounded up: the terms' rounding
+    margins and the dropped series tails, within ``tol`` relative to the
+    mass (taken relative to its leading term).  ``trunc_x``
+    must be positive and ``cap`` is accepted, but neither changes the
+    result: the whole dual lattice is summed.
     """
     if not trunc_x > 0.0:
         raise InvalidParameterError("term_undefined", f"trunc_x must be positive, got {trunc_x}")
     if rule.grid.s != params.s:
         raise InvalidParameterError("term_undefined", "grid dimension mismatch")
-    log_w = -params.log_inv_omega
-    scaled, window = _dual_window(params, rule.grid, trunc_x, cap)
-    weights = [math.exp(e * log_w) for e, _ in window]
-    _, window_hi, beyond = beyond_window_mass(params.omega, scaled, b_values(params), trunc_x, weights, tol)
-    value = math.sqrt(sum(weights))
-    # value**2 rounded down is within a factor 2 of window_hi: their gap is exact
-    gap = max(window_hi - value * value * (1.0 - 2.0**-52), 0.0)
-    return IntErrorResult(value=value, tail_sq=math.nextafter(beyond + gap, math.inf))
+    bv = b_values(params)
+    scaled = _scaled_weights(params, rule.grid)
+    # the mass is at least its leading term 2 omega**min(scaled): a tol
+    # relative to that keeps the dropped tails a rounding width of it
+    tol *= min(1.0, max(2.0 * params.omega ** min(scaled), 1e-290))
+    lower = nonzero_mass_lower(params.omega, scaled, bv, tol)
+    upper = nonzero_mass_upper(params.omega, scaled, bv, tol)
+    value = math.nextafter(math.sqrt(lower), 0.0)
+    # value**2 is rounded down before the subtraction, so the gap covers it
+    square = math.nextafter(value * value, 0.0)
+    return IntErrorResult(value=value, tail_sq=math.nextafter(max(upper - square, 0.0), math.inf))
 
 
 @dataclass(frozen=True)
@@ -115,7 +131,7 @@ def extremal_integrand(
 ) -> FourierPolynomial:
     """Unit-ball element attaining the truncated worst-case error:
     coefficients proportional to the dual-lattice weights."""
-    _, window = _dual_window(params, rule.grid, trunc_x, cap)
+    window = _dual_window(params, rule.grid, trunc_x, cap)
     if not window:
         raise InvalidParameterError("term_undefined", "no dual-lattice point below trunc_x")
     log_w = -params.log_inv_omega

@@ -581,7 +581,10 @@ def exact_worst_case_error(
     """Worst-case L2 error of the algorithm over the unit ball, exactly on
     the subspace of frequencies with exponent below trunc_x.
 
-    Frequencies split into cosets of the dual lattice; within a coset the
+    Frequencies split into cosets of the dual lattice, grouped by one
+    lexsort of the window's walk: residues mod the mesh as major keys,
+    one column each, and the exponent as minor key, so each coset lists
+    its kept members first and its weights descending.  Within a coset the
     error acts as (coefficients scaled by weight**0.5) -> (kept minus
     coset total, discarded unchanged), the matrix diag(w) - outer(kept, w)
     whose largest singular value is the coset's exact worst case.  That
@@ -613,12 +616,11 @@ def exact_worst_case_error(
     window = enumerate_below(params, trunc_x, cap=cap_set)
     log_w = -params.log_inv_omega
 
-    # Group the window by coset: one stable sort on the residues mod the
-    # mesh keeps exponents ascending, so weights descend, within a coset.
-    residues = window.member_array % np.array(alg.grid.mesh, dtype=np.int64)
-    order = np.lexsort(residues.T[::-1])
+    # one key per residue column: a mixed-radix key can overflow int64
+    residues = window.walk_members % np.array(alg.grid.mesh, dtype=np.int64)
+    order = np.lexsort((window.walk_exponents, *residues.T[::-1]))
     residues = residues[order]
-    exponents = window.exponent_array[order]
+    exponents = window.walk_exponents[order]
     ids = np.concatenate(([0], np.cumsum(np.any(residues[1:] != residues[:-1], axis=1))))
     coset_count = int(ids[-1]) + 1
     sizes = np.bincount(ids)
@@ -634,7 +636,7 @@ def exact_worst_case_error(
     gap = top - value * value + 4.0 * _U * top
 
     p_max = int(np.bincount(ids, weights=kept).max())
-    sup_beyond, _, beyond = beyond_window_mass(
+    sup_beyond, beyond = beyond_window_mass(
         params.omega, a_values(params), b_values(params), trunc_x, weights[exponents > 0.0], tol
     )
     slack_sq = math.nextafter((gap + sup_beyond + p_max * beyond) * (1.0 + 4.0 * _U), math.inf)

@@ -6,10 +6,11 @@ The n-th minimal error with unrestricted linear information is the
 square root of the (n+1)-st sorted weight, and the number of weights
 above eps**2 is the information complexity at accuracy eps.
 
-The k largest weights come from count, walk and sort: the exact count
-fixes a budget holding at least k frequencies, the array walk of
-``index_set`` lists them once, and one lexsort by (exponent, frequency
-vector) orders them; ties at the cut keep that global order.
+The k largest weights come from count and walk: the exact count fixes
+a budget holding at least k frequencies and the array walk of
+``index_set`` lists them once.  They are ordered only when read in
+order, by one lexsort by (exponent, frequency vector), so ties at the
+cut keep that global order; the n-th weight alone is one partition.
 """
 
 from __future__ import annotations
@@ -40,25 +41,48 @@ __all__ = [
 class Spectrum:
     """The k largest weights with their frequencies.
 
-    Held as two arrays: ``exponent_array`` (float64, nondecreasing, starting
-    at 0 for the origin) and ``member_array`` (int64, one frequency per
-    row); ties are ordered lexicographically by frequency vector for
-    determinism.  ``eigenvalues``, ``indices`` and ``exponents`` are the
-    same rows as tuples, built on first use (eigenvalue =
-    omega**exponent).  Deep spectra underflow in linear scale, so rate
-    computations should read the exponents.  A spectrum is fixed by
-    ``params`` and ``k``, so equality reads those only.
+    Held as the walk below a budget that holds at least k frequencies
+    (``walk_exponents``, ``walk_members``, in walk order), sorted on
+    first read: ``exponent_array`` (float64, nondecreasing, starting at 0
+    for the origin) and ``member_array`` (int64, one frequency per row)
+    are the first k rows by (exponent, frequency vector), so ties are
+    ordered lexicographically by frequency vector for determinism.
+    ``eigenvalues``, ``indices`` and ``exponents`` are the same rows as
+    tuples (eigenvalue = omega**exponent).  ``eigenvalue(n)`` and
+    ``log_inv_error(n)`` need no order: they read the n-th smallest
+    exponent by one partition, the same float whatever the tie order.
+    Deep spectra underflow in linear scale, so rate computations should
+    read the exponents.  A spectrum is fixed by ``params`` and ``k``, so
+    equality reads those only.
     """
 
     params: KorobovParams
     k: int
-    exponent_array: np.ndarray = field(repr=False, compare=False)
-    member_array: np.ndarray = field(repr=False, compare=False)
+    walk_exponents: np.ndarray = field(repr=False, compare=False)
+    walk_members: np.ndarray = field(repr=False, compare=False)
+
+    @cached_property
+    def _order(self) -> np.ndarray:
+        return _sorted(self.walk_exponents, self.walk_members)[: self.k]
+
+    @cached_property
+    def exponent_array(self) -> np.ndarray:
+        return self.walk_exponents[self._order]
+
+    @cached_property
+    def member_array(self) -> np.ndarray:
+        return self.walk_members[self._order]
+
+    def _nth_exponent(self, n: int) -> float:
+        """The (n+1)-st smallest exponent; indexes like ``exponent_array[n]``."""
+        if not -self.k <= n < self.k:
+            raise IndexError(f"index {n} is out of bounds for a spectrum of {self.k} weights")
+        n %= self.k
+        return float(np.partition(self.walk_exponents, n)[n])
 
     def eigenvalue(self, n: int) -> float:
         """The (n+1)-st largest weight, omega**exponent in linear scale."""
-        log_w = -self.params.log_inv_omega
-        return math.exp(float(self.exponent_array[n]) * log_w)
+        return math.exp(self._nth_exponent(n) * -self.params.log_inv_omega)
 
     @cached_property
     def eigenvalues(self) -> tuple[float, ...]:
@@ -79,7 +103,7 @@ class Spectrum:
 
     def log_inv_error(self, n: int) -> float:
         """log(1/e(n)) for the n-th minimal error, exact in log scale."""
-        return 0.5 * float(self.exponent_array[n]) * self.params.log_inv_omega
+        return 0.5 * self._nth_exponent(n) * self.params.log_inv_omega
 
     def __len__(self) -> int:
         return self.k
@@ -111,20 +135,20 @@ def _budget_for(av: tuple[float, ...], bv: tuple[float, ...], k: int) -> float:
 
 
 def top_eigenvalues(params: KorobovParams, k: int) -> Spectrum:
-    """The k largest weights, by count, walk and sort.
+    """The k largest weights, by count and walk; sorted on first read.
 
     A budget x is searched on the exact count until k <= count(x) <=
-    about 1.25 k; the frequencies below x are walked once as arrays
-    (``index_set._walk``) and sorted by (exponent, frequency vector), and
-    the first k are kept.  Every frequency with the k-th exponent lies
-    below x, so the tie order at the cut is the global one.
+    about 1.25 k, and the frequencies below x are walked once as arrays
+    (``index_set._walk``) and kept in walk order.  Read in order, they
+    are sorted by (exponent, frequency vector) and the first k kept.
+    Every frequency with the k-th exponent lies below x, so the tie order
+    at the cut is the global one.
     """
     if not (isinstance(k, int) and k >= 1):
         raise InvalidParameterError("term_undefined", f"k must be a positive integer, got {k!r}")
     av, bv = a_values(params), b_values(params)
     exponents, members = _walk(av, bv, _budget_for(av, bv, k))
-    order = _sorted(exponents, members)[:k]
-    return Spectrum(params=params, k=k, exponent_array=exponents[order], member_array=members[order])
+    return Spectrum(params=params, k=k, walk_exponents=exponents, walk_members=members)
 
 
 def nth_minimal_error(params: KorobovParams, n: int) -> float:

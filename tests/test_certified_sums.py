@@ -126,14 +126,16 @@ def test_dual_weight_sum_is_a_tight_upper_value(omega, a, b, spread):
 
 @pytest.mark.parametrize("trunc_x", [40.0, 60.0, 90.0, 120.0])
 def test_int_tail_covers_the_dual_mass_beyond_the_window(trunc_x):
-    # s = 1, a = b = 1, mesh 3: the dual points are 3k, so the mass beyond
-    # is 2 * sum_{3k >= x} 2**(-3k); tail_sq also holds the rounding of
-    # value, a few hundred units of 2**-53 of value**2
+    # s = 1, a = b = 1, mesh 3: the dual points are 3k, so the squared
+    # error is 2 * sum_{k >= 1} 2**(-3k) = 2/7 whatever trunc_x.  The
+    # closed form puts the mass beyond trunc_x into value itself, so the
+    # bracket holds the whole mass and tail_sq is a rounding width only
     res = worst_case_int_error(make_params(0.5, (1,), (1,)), GridRule(RegularGrid((3,))), trunc_x)
     with mp.workdps(40):
-        first = int(math.ceil(trunc_x / 3))
-        beyond = 2 * mp.mpf(2) ** (-3 * first) / (1 - mp.mpf(1) / 8)
-        assert beyond <= mp.mpf(res.tail_sq) <= 1000 * beyond + 1e-12 * res.value**2
+        total = mp.mpf(2) / 7
+        value_sq = mp.mpf(res.value) ** 2
+        assert value_sq <= total <= value_sq + mp.mpf(res.tail_sq)
+    assert res.tail_sq <= 1e-13 * res.value**2
 
 
 @pytest.mark.parametrize(
