@@ -1,6 +1,7 @@
 """Certified weight series and the product form over coordinates.
 
 The only place that sums S(a, b) = sum_{h>=1} omega**(a*h**b), b >= 1,
+or a one-dimensional coset series sum_{l != 0} omega**(a*|r + m l|**b),
 forms the product prod_j (1 + 2 S(a_j, b_j)) = sum_h omega**E(h), from
 above or from below, or bounds the mass beyond an enumerated window;
 dual lattices enter as scaled weights a_j*m_j**b_j or a_j*(m_j/2)**b_j.
@@ -16,8 +17,10 @@ from typing import Sequence
 
 import numpy as np
 
-__all__ = ["weight_terms", "weight_sum_upper", "nonzero_mass_upper", "nonzero_mass_lower",
-           "series_ceiling", "log_product_ceiling", "beyond_window_mass"]
+from .index_set import _pow_term
+
+__all__ = ["weight_terms", "weight_sum_upper", "coset_sum_upper", "nonzero_mass_upper",
+           "nonzero_mass_lower", "series_ceiling", "log_product_ceiling", "beyond_window_mass"]
 
 _MAX_TERMS = 10**7
 _U = 2.0**-53  # unit roundoff of float64
@@ -64,6 +67,32 @@ def weight_sum_upper(omega: float, a: float, b: float, tol: float = 1e-16) -> fl
     terms, tail, margin = weight_terms(omega, a, b, tol)
     widen = math.fsum((terms * margin).tolist()) + terms.size * _TINY
     return math.nextafter((math.fsum(terms.tolist()) + widen + tail) * (1.0 + 4.0 * _U), math.inf)
+
+
+def coset_sum_upper(log_w: float, a: float, b: float, m: int, h: int, tol: float) -> float:
+    """Certified upper value of sum_{l != 0} omega**(a*|h + m*l|**b), log_w = log(omega),
+    within relative tol of the true sum.
+
+    Once m*l >= |h|, the progressions |h| + m*l and m*l - |h| grow by m
+    per step and (p + m*k)**b >= p**b + m**b * k for b >= 1, so the terms
+    after step l sum to at most the two at l times q/(1-q), q = omega**(a*m**b);
+    that tail is added once it is below tol times the partial sum.  Each
+    exponent is within 6 u of its size, the exponentials and the sum add
+    about u per term, and q/(1-q) comes from expm1 without cancellation:
+    the result is widened by 7 u times the deepest exponent plus 2 u per
+    step and rounded up.
+    """
+    c = -a * float(m) ** b * log_w
+    ratio = math.exp(-c) / -math.expm1(-c)  # q/(1-q), accurate also for q near 1
+    r, total, l = abs(h), 0.0, 0
+    while True:
+        l += 1
+        deep = _pow_term(a, r + m * l, b) * log_w
+        last = math.exp(deep) + math.exp(_pow_term(a, m * l - r, b) * log_w)
+        total += last
+        if m * l >= r and last * ratio <= tol * total:
+            widen = (7.0 * abs(deep) + 2.0 * l + 12.0) * _U
+            return math.nextafter((total + last * ratio) * (1.0 + widen), math.inf)
 
 
 def _factor_tol(omega: float, av: Sequence[float], bv: Sequence[float], tol: float) -> float:

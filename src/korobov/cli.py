@@ -21,6 +21,7 @@ config, 2 verdicts left unknown.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import logging
@@ -33,7 +34,11 @@ from .grids import RegularGrid
 from .index_set import count_below, count_product_bounds, exponent_budget
 from .integration import GridRule, small_n_lower_bound, worst_case_int_error
 from .params import KorobovParams, load_params, params_from_config
+# exact_worst_case_error is not called here: the subcommands run the
+# oracle through _oracle_many.  The name stays importable from this module
+# because bench/tracer.py wraps korobov.cli.exact_worst_case_error.
 from .sampling import (
+    _oracle_many,
     build_std_algorithm,
     default_truncation,
     error_upper_bound,
@@ -42,8 +47,6 @@ from .sampling import (
 )
 from .spectra import top_eigenvalues
 from .tractability import analyze, fit_exponential_rate, staircase_corners
-
-logger = logging.getLogger("korobov.cli")
 
 _EXIT_OK = 0
 _EXIT_CONFIG = 1
@@ -158,38 +161,39 @@ def _cmd_convergence(args) -> int:
 
     # A grid over cap_n is a row (needed n, cap_exceeded x 3), and so is a
     # grid whose kept set is over cap_set (its n, cap_exceeded x 3); both
-    # are kept out of the spectrum's size and both fits.
-    rows: list[tuple[int, float, float | None, object]] = []
+    # are kept out of the spectrum's size and both fits.  The other grids'
+    # oracles run together, in one bracket loop.
+    rows: list[tuple[int, float, float | None]] = []
+    jobs = []
     for eps in eps_values:
         try:
             choice = mesh_for_accuracy(params, eps, cap_n=args.cap_n)
         except CapExceeded as exc:
-            rows.append((exc.needed, eps, None, "cap_exceeded"))
+            rows.append((exc.needed, eps, None))
             continue
         n = choice.grid.n
         try:
             alg = build_std_algorithm(params, choice.M, choice.grid, cap_set=args.cap_set)
         except CapExceeded:
-            rows.append((n, eps, None, "cap_exceeded"))
+            rows.append((n, eps, None))
             continue
-        bound = error_upper_bound(alg)
-        try:
-            oracle = exact_worst_case_error(alg, cap_set=args.cap_set, coset_cap=args.coset_cap)
-            exact: object = oracle.value
-        except CapExceeded:
-            exact = "trunc_overflow"
-        rows.append((n, eps, bound, exact))
+        rows.append((n, eps, error_upper_bound(alg)))
+        jobs.append((alg, default_truncation(alg.threshold)))
+    oracles = iter(_oracle_many(jobs, args.cap_set, args.coset_cap))
 
-    max_n = max((n for n, _, bound, _ in rows if bound is not None), default=0)
-    spectrum = top_eigenvalues(params, max_n + 1)
+    ns = [n for n, _, bound in rows if bound is not None]
+    spectrum = top_eigenvalues(params, max(ns, default=0) + 1)
+    e_all_of = iter(spectrum.eigenvalues_at(ns))
     lines = ["n,e_all,e_std_bound,e_std_exact"]
     pairs_all: list[tuple[float, float]] = []
     pairs_std: list[tuple[float, float]] = []
-    for n, eps, bound, exact in rows:
+    for n, eps, bound in rows:
         if bound is None:
             lines.append(f"{n},cap_exceeded,cap_exceeded,cap_exceeded")
             continue
-        e_all = math.sqrt(spectrum.eigenvalue(n))
+        e_all = math.sqrt(next(e_all_of))
+        oracle = next(oracles)
+        exact = "trunc_overflow" if isinstance(oracle, CapExceeded) else oracle.value
         lines.append(",".join(_fmt(c) for c in (n, e_all, bound, exact)))
         pairs_all.append((n, e_all))
         if isinstance(exact, float) and 0.0 < exact < 1.0:
@@ -215,22 +219,33 @@ def _cmd_integrate(args) -> int:
     m_value = config.get("M", 4.0)
     if isinstance(m_value, bool) or not isinstance(m_value, (int, float)) or not m_value > 1:
         raise ConfigError("M", f"expected a number > 1, got {m_value!r}")
-
-    lines = ["mesh,n,int_error,int_slack,app_error,app_slack,lower_bound"]
+    grids = []
     for i, mesh in enumerate(meshes):
         if not isinstance(mesh, list) or len(mesh) != params.s:
             raise ConfigError(f"meshes[{i}]", f"expected a list of {params.s} mesh sizes")
-        grid = RegularGrid(tuple(int(m) for m in mesh))
-        alg = build_std_algorithm(params, float(m_value), grid, cap_set=args.cap_set)
-        trunc = config.get("trunc_x", default_truncation(alg))
-        res = worst_case_int_error(params, GridRule(grid), trunc)
-        try:
-            orc = exact_worst_case_error(
-                alg, trunc, cap_set=args.cap_set, coset_cap=args.coset_cap
-            )
-            app_cells = [orc.value, orc.slack]
-        except CapExceeded:
+        grids.append(RegularGrid(tuple(int(m) for m in mesh)))
+
+    m_value = float(m_value)
+    threshold = math.log(m_value) / params.log_inv_omega  # the kept set's, fitting or not
+    trunc = config.get("trunc_x", default_truncation(threshold))
+    ints = [worst_case_int_error(params, GridRule(grid), trunc) for grid in grids]
+    # The kept set depends on M alone, so every mesh shares one.  Over
+    # cap_set it blanks only the oracle cells: the integration error and
+    # the lower bound do not read it.
+    try:
+        kept = build_std_algorithm(params, m_value, grids[0], cap_set=args.cap_set)
+    except CapExceeded as exc:
+        oracles = [exc] * len(grids)
+    else:
+        jobs = [(dataclasses.replace(kept, grid=grid), trunc) for grid in grids]
+        oracles = _oracle_many(jobs, args.cap_set, args.coset_cap)
+
+    lines = ["mesh,n,int_error,int_slack,app_error,app_slack,lower_bound"]
+    for grid, res, orc in zip(grids, ints, oracles):
+        if isinstance(orc, CapExceeded):
             app_cells = ["cap_exceeded", "cap_exceeded"]
+        else:
+            app_cells = [orc.value, orc.slack]
         lower = small_n_lower_bound(params, grid.n)
         cells = [
             "x".join(str(m) for m in grid.mesh),

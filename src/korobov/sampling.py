@@ -13,8 +13,10 @@ weights grow.  An exact worst-case-error oracle certifies both: it
 brackets the top singular value of every dual-lattice coset's error
 matrix by certified probes of an inertia count, each costing a few sums
 per coset, placed by a safeguarded Newton step and run on all cosets at
-once, so no matrix is formed.  The bracket gap and the neglected tail
-are reported as explicit slack, never absorbed.
+once, so no matrix is formed; ``_oracle_many`` runs several algorithms'
+oracles in one such loop, over one window per truncation budget.  The
+bracket gap and the neglected tail are reported as explicit slack, never
+absorbed.
 """
 
 from __future__ import annotations
@@ -22,9 +24,11 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from typing import Sequence
+
 import numpy as np
 
-from ._series import beyond_window_mass
+from ._series import beyond_window_mass, coset_sum_upper
 from .errors import CapExceeded, InvalidParameterError
 from .grids import (
     DEFAULT_GRID_CAP,
@@ -142,35 +146,6 @@ def error_upper_bound(alg: StdAlgorithm, tol: float = 1e-14) -> float:
     return math.nextafter(math.sqrt(radicand * (1.0 + widen)), math.inf)
 
 
-def _coset_rest(log_w: float, a: float, b: float, m: int, h: int, tol: float) -> float:
-    """sum over l != 0 of omega**(a*|h + m*l|**b): a certified upper value
-    within relative tol of the true sum.
-
-    Once m*l >= |h|, both progressions |h| + m*l and m*l - |h| grow by m
-    per step, and (p + m*k)**b >= p**b + m**b * k for b >= 1, so all
-    terms after step l sum to at most the two terms at l times q/(1-q),
-    q = omega**(a*m**b).  That tail is added, and the sum stops once it
-    is below tol times the partial sum.  Each term's exponent is rounded
-    by at most 6u of its size (u the unit roundoff), most at the deepest
-    term, the exponentials and the sum add about one u per term, and
-    q/(1-q) comes from expm1 without cancellation: the result is widened
-    by 7u times the deepest exponent plus 2u per step and rounded up.
-    """
-    c = -a * float(m) ** b * log_w
-    ratio = math.exp(-c) / -math.expm1(-c)  # q/(1-q), accurate also for q near 1
-    r = abs(h)
-    total = 0.0
-    l = 0
-    while True:
-        l += 1
-        deep = _pow_term(a, r + m * l, b) * log_w
-        last = math.exp(deep) + math.exp(_pow_term(a, m * l - r, b) * log_w)
-        total += last
-        if m * l >= r and last * ratio <= tol * total:
-            widen = (7.0 * abs(deep) + 2.0 * l + 12.0) * _U
-            return math.nextafter((total + last * ratio) * (1.0 + widen), math.inf)
-
-
 def gen_error_bound(alg: StdAlgorithm, tol: float = 1e-13) -> float:
     """Sharper ceiling sqrt(1/M + sum_{h in A} aliasing weight of h).
 
@@ -198,7 +173,7 @@ def gen_error_bound(alg: StdAlgorithm, tol: float = 1e-13) -> float:
         if got is None:
             arg = _pow_term(av[j], hj, bv[j]) * log_w
             widen = (6.0 * abs(arg) + 5.0) * _U
-            rest = _coset_rest(log_w, av[j], bv[j], mesh[j], hj, tol)
+            rest = coset_sum_upper(log_w, av[j], bv[j], mesh[j], hj, tol)
             got = math.nextafter(rest / math.exp(arg) * (1.0 + widen), math.inf)
             cache[key] = got
         return got
@@ -372,10 +347,10 @@ class OracleResult:
         return self.upper - self.value
 
 
-def default_truncation(alg: StdAlgorithm) -> float:
+def default_truncation(threshold: float) -> float:
     # Keeping exponents to 2.5x the kept threshold makes the discarded
     # weights at most omega**(1.5*threshold) = M**-1.5 relative to 1/M.
-    return 2.5 * alg.threshold
+    return 2.5 * threshold
 
 
 _U = 2.0**-53  # unit roundoff of float64
@@ -394,7 +369,11 @@ _SETTLED = 6.0
 
 
 def _top_sq_brackets(
-    sq: np.ndarray, kept: np.ndarray, ids: np.ndarray, n_groups: int
+    sq: np.ndarray,
+    kept: np.ndarray,
+    ids: np.ndarray,
+    n_groups: int,
+    owner: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Certified brackets lo <= sigma_max(M_g)**2 <= hi for every group g.
 
@@ -428,8 +407,11 @@ def _top_sq_brackets(
 
     lo starts at the largest row or column norm**2 (a Rayleigh quotient),
     hi at 2 * ||M||_F**2; a group without kept entries is diagonal and
-    exact.  A group whose hi falls below the largest lo cannot hold the
-    maximum and stops early with a valid but wider bracket.
+    exact.  ``owner[g]`` is the job of group g (``None``: one job), and
+    each job's maximum is taken apart: a group whose hi falls below the
+    largest lo of its job cannot hold that maximum and stops early with a
+    valid but wider bracket.  Every group's probes, and so its lo and hi,
+    are those of a call on its job alone.
     """
     size = np.bincount(ids, minlength=n_groups)
     start = np.cumsum(size) - size
@@ -471,18 +453,20 @@ def _top_sq_brackets(
     guess, step, res = np.full(n_groups, np.nan), np.full(n_groups, np.inf), np.zeros(n_groups)
     k_sq, k_id = sq[kept], ids[kept]
     d_sq, d_id = sq[~kept], ids[~kept]
-    floor = float(lo.max(initial=0.0))
+    owner = np.zeros(n_groups, dtype=np.int64) if owner is None else np.asarray(owner)
+    floor = np.zeros(int(owner.max(initial=-1)) + 1)  # per job, the largest lo so far
+    np.maximum.at(floor, owner, lo)
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(_MAX_PROBES):
-            live = (hi_l > lo_l * (1.0 + _BRACKET_RTOL)) & (hi_l >= floor)
+            live = (hi_l > lo_l * (1.0 + _BRACKET_RTOL)) & (hi_l >= floor[owner])
             live &= (tries < _RETRY_AT.size) & (hi_l - lo_l > _SETTLED * res)
             if not live.all():
                 local = np.cumsum(live) - 1
                 keep_k, keep_d = live[k_id], live[d_id]
                 k_sq, k_id = k_sq[keep_k], local[k_id[keep_k]]
                 d_sq, d_id = d_sq[keep_d], local[d_id[keep_d]]
-                groups, p_l, scale = groups[live], p_l[live], scale[live]
+                groups, p_l, scale, owner = groups[live], p_l[live], scale[live], owner[live]
                 lo_l, hi_l, tries = lo_l[live], hi_l[live], tries[live]
                 guess, step, res = guess[live], step[live], res[live]
             if groups.size == 0:
@@ -567,7 +551,7 @@ def _top_sq_brackets(
             step = np.abs(newton)
             res = np.where(~decided & (resolution < np.inf), resolution, res)
             lo[groups], hi[groups] = lo_l, hi_l
-            floor = max(floor, float(lo_l.max()))
+            np.maximum.at(floor, owner, lo_l)
     return lo, hi
 
 
@@ -603,49 +587,105 @@ def exact_worst_case_error(
     therefore also holds omega**trunc_x + p_max * (mass beyond trunc_x),
     p_max the most kept members in one coset: reported, never folded in.
     Both upper values come from ``_series.beyond_window_mass``.
-    A coset larger than ``coset_cap`` raises :class:`CapExceeded`.
+    A window larger than ``cap_set`` or a coset larger than ``coset_cap``
+    raises :class:`CapExceeded`.  This is ``_oracle_many`` on one job,
+    which runs several algorithms' oracles in one bracket loop.
     """
-    params = alg.params
     if trunc_x is None:
-        trunc_x = default_truncation(alg)
-    if not trunc_x > alg.threshold:
-        raise InvalidParameterError(
-            "term_undefined",
-            f"truncation budget {trunc_x} must exceed the kept threshold {alg.threshold}",
+        trunc_x = default_truncation(alg.threshold)
+    (result,) = _oracle_many([(alg, trunc_x)], cap_set, coset_cap, tol)
+    if isinstance(result, CapExceeded):
+        raise result
+    return result
+
+
+def _oracle_many(
+    jobs: Sequence[tuple[StdAlgorithm, float]],
+    cap_set: int = DEFAULT_SET_CAP,
+    coset_cap: int = DEFAULT_COSET_CAP,
+    tol: float = 1e-13,
+) -> list[OracleResult | CapExceeded]:
+    """:func:`exact_worst_case_error` of each (algorithm, trunc_x) job over
+    one space, with every coset of every job bracketed in one
+    ``_top_sq_brackets`` loop, each job's maximum taken apart.
+
+    Jobs with an equal trunc_x share one window (one ``enumerate_below``
+    call and one exp of its exponents) and its beyond-window mass, which
+    depends on the window alone.  The grouping, the coset cap, ``kept``,
+    ``p_max`` and the slack are per job, so every result is that of a
+    call on its job alone.  A job whose window exceeds ``cap_set`` or
+    whose largest coset exceeds ``coset_cap`` gets that
+    :class:`CapExceeded` in place of its result; a trunc_x at or below a
+    job's threshold raises before any window is walked.
+    """
+    for alg, trunc_x in jobs:
+        if alg.params != jobs[0][0].params:
+            raise InvalidParameterError("term_undefined", "oracle jobs belong to different spaces")
+        if not trunc_x > alg.threshold:
+            raise InvalidParameterError(
+                "term_undefined",
+                f"truncation budget {trunc_x} must exceed the kept threshold {alg.threshold}",
+            )
+    results: list[OracleResult | CapExceeded | None] = [None] * len(jobs)
+    windows: dict[float, tuple[IndexSet, np.ndarray] | CapExceeded] = {}
+    masses: dict[float, tuple[float, float]] = {}  # omega**trunc_x and the mass beyond
+    batch = []  # (job, trunc_x, weights, kept, ids, largest coset) to bracket
+    for i, (alg, trunc_x) in enumerate(jobs):
+        params = alg.params
+        if trunc_x not in windows:
+            try:
+                window = enumerate_below(params, trunc_x, cap=cap_set)
+                windows[trunc_x] = window, np.exp(window.walk_exponents * -params.log_inv_omega)
+            except CapExceeded as exc:
+                windows[trunc_x] = exc
+        if isinstance(windows[trunc_x], CapExceeded):
+            results[i] = windows[trunc_x]
+            continue
+        window, walk_weights = windows[trunc_x]
+
+        # one key per residue column: a mixed-radix key can overflow int64
+        residues = window.walk_members % np.array(alg.grid.mesh, dtype=np.int64)
+        order = np.lexsort((window.walk_exponents, *residues.T[::-1]))
+        residues = residues[order]
+        exponents = window.walk_exponents[order]
+        ids = np.concatenate(([0], np.cumsum(np.any(residues[1:] != residues[:-1], axis=1))))
+        largest = int(np.bincount(ids).max())
+        if largest > coset_cap:
+            results[i] = CapExceeded("coset size", coset_cap, needed=largest)
+            continue
+        if trunc_x not in masses:
+            # math.fsum is exactly rounded, so walk order sums like any other
+            masses[trunc_x] = beyond_window_mass(
+                params.omega, a_values(params), b_values(params), trunc_x,
+                walk_weights[window.walk_exponents > 0.0], tol,
+            )
+        batch.append((i, trunc_x, walk_weights[order], exponents < alg.threshold, ids, largest))
+
+    if batch:
+        _, _, weights, kept, ids, _ = zip(*batch)
+        counts = [int(g[-1]) + 1 for g in ids]
+        starts = np.cumsum([0, *counts])
+        lo, hi = _top_sq_brackets(
+            np.concatenate(weights),
+            np.concatenate(kept),
+            np.concatenate([g + start for g, start in zip(ids, starts)]),
+            int(starts[-1]),
+            np.repeat(np.arange(len(batch)), counts),  # each job's own maximum
         )
-    window = enumerate_below(params, trunc_x, cap=cap_set)
-    log_w = -params.log_inv_omega
-
-    # one key per residue column: a mixed-radix key can overflow int64
-    residues = window.walk_members % np.array(alg.grid.mesh, dtype=np.int64)
-    order = np.lexsort((window.walk_exponents, *residues.T[::-1]))
-    residues = residues[order]
-    exponents = window.walk_exponents[order]
-    ids = np.concatenate(([0], np.cumsum(np.any(residues[1:] != residues[:-1], axis=1))))
-    coset_count = int(ids[-1]) + 1
-    sizes = np.bincount(ids)
-    largest = int(sizes.max())
-    if largest > coset_cap:
-        raise CapExceeded("coset size", coset_cap, needed=largest)
-
-    weights = np.exp(exponents * log_w)
-    kept = exponents < alg.threshold
-    lo, hi = _top_sq_brackets(weights, kept, ids, coset_count)
-    value = math.nextafter(math.sqrt(float(lo.max())), 0.0)
-    top = float(hi.max())
-    gap = top - value * value + 4.0 * _U * top
-
-    p_max = int(np.bincount(ids, weights=kept).max())
-    sup_beyond, beyond = beyond_window_mass(
-        params.omega, a_values(params), b_values(params), trunc_x, weights[exponents > 0.0], tol
-    )
-    slack_sq = math.nextafter((gap + sup_beyond + p_max * beyond) * (1.0 + 4.0 * _U), math.inf)
-    return OracleResult(
-        value=value,
-        slack_sq=slack_sq,
-        coset_count=coset_count,
-        largest_coset=largest,
-    )
+        for (i, trunc_x, _, kept, ids, largest), a, b in zip(batch, starts, starts[1:]):
+            value = math.nextafter(math.sqrt(float(lo[a:b].max())), 0.0)
+            top = float(hi[a:b].max())
+            gap = top - value * value + 4.0 * _U * top
+            p_max = int(np.bincount(ids, weights=kept).max())
+            sup_beyond, beyond = masses[trunc_x]
+            slack_sq = (gap + sup_beyond + p_max * beyond) * (1.0 + 4.0 * _U)
+            results[i] = OracleResult(
+                value=value,
+                slack_sq=math.nextafter(slack_sq, math.inf),
+                coset_count=int(b - a),
+                largest_coset=largest,
+            )
+    return results
 
 
 @dataclass(frozen=True)

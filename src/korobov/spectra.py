@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
@@ -50,7 +51,8 @@ class Spectrum:
     ``eigenvalues``, ``indices`` and ``exponents`` are the same rows as
     tuples (eigenvalue = omega**exponent).  ``eigenvalue(n)`` and
     ``log_inv_error(n)`` need no order: they read the n-th smallest
-    exponent by one partition, the same float whatever the tie order.
+    exponent by one partition, the same float whatever the tie order, and
+    ``eigenvalues_at(ns)`` reads several by one multi-index partition.
     Deep spectra underflow in linear scale, so rate computations should
     read the exponents.  A spectrum is fixed by ``params`` and ``k``, so
     equality reads those only.
@@ -73,16 +75,28 @@ class Spectrum:
     def member_array(self) -> np.ndarray:
         return self.walk_members[self._order]
 
+    def _nth_exponents(self, ns: Sequence[int]) -> list[float]:
+        """The (n+1)-st smallest exponents, indexed like ``exponent_array[n]``,
+        by one partition at every n."""
+        for n in ns:
+            if not -self.k <= n < self.k:
+                raise IndexError(f"index {n} is out of bounds for a spectrum of {self.k} weights")
+        ns = [n % self.k for n in ns]
+        if not ns:
+            return []
+        part = np.partition(self.walk_exponents, sorted(set(ns)))
+        return [float(part[n]) for n in ns]
+
     def _nth_exponent(self, n: int) -> float:
-        """The (n+1)-st smallest exponent; indexes like ``exponent_array[n]``."""
-        if not -self.k <= n < self.k:
-            raise IndexError(f"index {n} is out of bounds for a spectrum of {self.k} weights")
-        n %= self.k
-        return float(np.partition(self.walk_exponents, n)[n])
+        return self._nth_exponents([n])[0]
 
     def eigenvalue(self, n: int) -> float:
         """The (n+1)-st largest weight, omega**exponent in linear scale."""
         return math.exp(self._nth_exponent(n) * -self.params.log_inv_omega)
+
+    def eigenvalues_at(self, ns: Sequence[int]) -> list[float]:
+        """``[eigenvalue(n) for n in ns]``, the same floats, by one partition."""
+        return [math.exp(e * -self.params.log_inv_omega) for e in self._nth_exponents(ns)]
 
     @cached_property
     def eigenvalues(self) -> tuple[float, ...]:
