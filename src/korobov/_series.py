@@ -155,7 +155,7 @@ def log_product_ceiling(cv: Sequence[float], bv: Sequence[float]) -> float:
 
 def beyond_window_mass(
     omega: float, av: Sequence[float], bv: Sequence[float], x: float,
-    window_weights: Sequence[float], tol: float = 1e-14,
+    window_weights: Sequence[float], total: float,
 ) -> tuple[float, float]:
     """Certified upper values of omega**x and of the mass
     sum_{E(h) >= x} omega**E(h) beyond the window.
@@ -163,8 +163,8 @@ def beyond_window_mass(
     The window is the h != 0 with float exponent below x, weighing
     ``window_weights``.  Outside it exponents are >= x (1 - (s + 8) u), s
     rounded terms of a possibly scaled weight: ``reach`` with log(1/omega)
-    (4 u more).  The mass is the smaller of
-    :func:`nonzero_mass_upper` minus the window (by ``math.fsum``, each
+    (4 u more).  The mass is the smaller of ``total``, the space's
+    :func:`nonzero_mass_upper`, minus the window (by ``math.fsum``, each
     weight w within ((s + 11) log(1/w) + 8) u), which cancels in deep
     windows, and the trace bound
 
@@ -181,7 +181,7 @@ def beyond_window_mass(
     window = math.fsum(w.tolist())
     err = math.fsum((w * ((s + 12.0) * -np.log(np.maximum(w, _TINY)) + 16.0)).tolist())
     err = err * _U + w.size * _TINY
-    by_total = nonzero_mass_upper(omega, av, bv, tol) - (window - err)
+    by_total = total - (window - err)
 
     best = math.inf
     for k in range(1, 11):

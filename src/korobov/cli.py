@@ -13,8 +13,8 @@ reference.  Command-specific keys: "eps" (list), "s_list" (list),
 "meshes" (list of mesh vectors), "M", "beta", "trunc_x".
 
 CSV output uses a header row, '.' decimals, 17 significant digits, and
-"#fit"-prefixed footer records, so runs diff cleanly; identical config
-and seed give byte-identical files.  Exit codes: 0 success, 1 invalid
+"#fit"-prefixed footer records, so runs diff cleanly; an identical
+config gives byte-identical files.  Exit codes: 0 success, 1 invalid
 config, 2 verdicts left unknown.
 """
 
@@ -33,7 +33,7 @@ from .errors import CapExceeded, ConfigError, InvalidParameterError, KorobovErro
 from .grids import RegularGrid
 from .index_set import count_below, count_product_bounds, exponent_budget
 from .integration import GridRule, small_n_lower_bound, worst_case_int_error
-from .params import KorobovParams, load_params, params_from_config
+from .params import KorobovParams, _read_json, load_params, params_from_config
 # exact_worst_case_error is not called here: the subcommands run the
 # oracle through _oracle_many.  The name stays importable from this module
 # because bench/tracer.py wraps korobov.cli.exact_worst_case_error.
@@ -71,13 +71,7 @@ def _write_lines(out_path: str, lines: list[str]) -> None:
 
 
 def _load_config(path: str) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(str(path), f"cannot read: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(str(path), f"invalid JSON: {exc}") from exc
+    obj = _read_json(path)
     if not isinstance(obj, dict):
         raise ConfigError(str(path), "top level must be an object")
     return obj
@@ -278,7 +272,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="JSON config file")
         p.add_argument("--out", default="-", help="output path, '-' for stdout")
-        p.add_argument("--seed", type=int, default=0, help="RNG seed")
         p.add_argument("--cap-n", dest="cap_n", type=int, default=10**6, help="grid size cap")
         p.add_argument("--cap-set", dest="cap_set", type=int, default=10**6, help="index set cap")
         p.add_argument(

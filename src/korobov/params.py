@@ -52,10 +52,6 @@ class Interval:
     lo: float
     hi: float
 
-    @staticmethod
-    def exact(value: float) -> "Interval":
-        return Interval(value, value)
-
     @property
     def is_infinite(self) -> bool:
         return math.isinf(self.lo)
@@ -88,15 +84,18 @@ class SequenceFamily:
     the tractability analysis: the limit, the exponential growth rate
     liminf_j log(term_j)/j, and the sum of reciprocals as a certified
     interval.
+
+    Every closed form is monotone.  ``_trend()`` has the sign of its
+    growth and ``_index_guess(x)`` solves it for j at term = x; from these
+    two hooks the limit (inf, term_1 or 0 by the sign), the minimum
+    (term_1, or 0 when decreasing), monotonicity and the sup index are
+    derived here once.  :class:`ExplicitFamily` answers from its values
+    and tail instead.
     """
 
     kind: str = "abstract"
 
     def term(self, j: int) -> float:
-        raise NotImplementedError
-
-    def limit(self) -> float:
-        """lim_j term_j (inf allowed)."""
         raise NotImplementedError
 
     def log_growth(self) -> float:
@@ -108,13 +107,28 @@ class SequenceFamily:
         divergent."""
         raise NotImplementedError
 
+    def _trend(self) -> float:
+        """A number with the sign of term_{j+1} - term_j, the same for all j."""
+        raise NotImplementedError
+
+    def _index_guess(self, x: float) -> float:
+        """The real j at which the closed form equals x (increasing families)."""
+        raise NotImplementedError
+
+    def limit(self) -> float:
+        """lim_j term_j (inf allowed)."""
+        trend = self._trend()
+        if trend > 0:
+            return INFINITE
+        return self.term(1) if trend == 0 else 0.0
+
     def min_term_overall(self) -> float:
         """inf_j term_j over the whole infinite sequence."""
-        raise NotImplementedError
+        return self.term(1) if self._trend() >= 0 else 0.0
 
     def is_nondecreasing(self) -> bool:
         """True when term_j <= term_{j+1} for all j (the whole tail)."""
-        raise NotImplementedError
+        return self._trend() >= 0
 
     def sup_index_below(self, x: float) -> float:
         """sup{j >= 1 : term_j < x} for a nondecreasing family.
@@ -123,7 +137,16 @@ class SequenceFamily:
         stays below x, and raises :class:`UndecidableTail` when the
         answer depends on an undeclared explicit tail.
         """
-        raise NotImplementedError
+        trend = self._trend()
+        if trend < 0:
+            raise InvalidParameterError(
+                "a_nonmonotone", f"decreasing {self.kind} family has no sup index"
+            )
+        if not (self.term(1) < x):
+            return 0
+        if trend == 0:
+            return INFINITE
+        return _adjusted_max_index(self.term, self._index_guess(x), x)
 
     def _require_index(self, j: int) -> None:
         if not isinstance(j, int) or j < 1:
@@ -143,23 +166,14 @@ class ConstantFamily(SequenceFamily):
         self._require_index(j)
         return self.c
 
-    def limit(self) -> float:
-        return self.c
-
     def log_growth(self) -> float:
         return 0.0
 
     def reciprocal_sum(self, start: int = 1) -> Interval:
         return Interval(INFINITE, INFINITE)
 
-    def min_term_overall(self) -> float:
-        return self.c
-
-    def is_nondecreasing(self) -> bool:
-        return True
-
-    def sup_index_below(self, x: float) -> float:
-        return INFINITE if self.c < x else 0
+    def _trend(self) -> float:
+        return 0.0
 
 
 @dataclass(frozen=True)
@@ -176,13 +190,6 @@ class PowerFamily(SequenceFamily):
             return self.c * float(j) ** self.k
         except OverflowError:
             return INFINITE
-
-    def limit(self) -> float:
-        if self.k > 0:
-            return INFINITE
-        if self.k == 0:
-            return self.c
-        return 0.0
 
     def log_growth(self) -> float:
         # log(c j^k)/j -> 0 for any fixed k.
@@ -206,22 +213,11 @@ class PowerFamily(SequenceFamily):
         err = 8.0 * _U * partial + tail_err
         return _outward(partial + tail_lo - err, partial + tail_hi + err)
 
-    def min_term_overall(self) -> float:
-        return self.c if self.k >= 0 else 0.0
+    def _trend(self) -> float:
+        return self.k
 
-    def is_nondecreasing(self) -> bool:
-        return self.k >= 0
-
-    def sup_index_below(self, x: float) -> float:
-        if self.k < 0:
-            raise InvalidParameterError(
-                "a_nonmonotone", "decreasing power family has no sup index"
-            )
-        if self.k == 0:
-            return INFINITE if self.c < x else 0
-        if not (self.c < x):
-            return 0
-        return _adjusted_max_index(self.term, (x / self.c) ** (1.0 / self.k), x)
+    def _index_guess(self, x: float) -> float:
+        return (x / self.c) ** (1.0 / self.k)
 
 
 @dataclass(frozen=True)
@@ -239,13 +235,6 @@ class GeometricFamily(SequenceFamily):
         except OverflowError:
             return INFINITE
 
-    def limit(self) -> float:
-        if self.r > 1:
-            return INFINITE
-        if self.r == 1:
-            return self.c
-        return 0.0
-
     def log_growth(self) -> float:
         return math.log(self.r) if self.r >= 1 else -INFINITE
 
@@ -256,23 +245,11 @@ class GeometricFamily(SequenceFamily):
         (p, q), (cp, cq) = self.r.as_integer_ratio(), self.c.as_integer_ratio()
         return _enclose(q**start * cq, p ** (start - 1) * cp * (p - q))
 
-    def min_term_overall(self) -> float:
-        return self.c * self.r if self.r >= 1 else 0.0
+    def _trend(self) -> float:
+        return self.r - 1.0
 
-    def is_nondecreasing(self) -> bool:
-        return self.r >= 1
-
-    def sup_index_below(self, x: float) -> float:
-        if self.r < 1:
-            raise InvalidParameterError(
-                "a_nonmonotone", "decreasing geometric family has no sup index"
-            )
-        if self.r == 1:
-            return INFINITE if self.c < x else 0
-        if not (self.term(1) < x):
-            return 0
-        guess = (math.log(x) - math.log(self.c)) / math.log(self.r)
-        return _adjusted_max_index(self.term, guess, x)
+    def _index_guess(self, x: float) -> float:
+        return (math.log(x) - math.log(self.c)) / math.log(self.r)
 
 
 @dataclass(frozen=True)
@@ -290,13 +267,6 @@ class ExponentialFamily(SequenceFamily):
         except OverflowError:
             return INFINITE
 
-    def limit(self) -> float:
-        if self.alpha > 0:
-            return INFINITE
-        if self.alpha == 0:
-            return self.c
-        return 0.0
-
     def log_growth(self) -> float:
         return self.alpha
 
@@ -310,23 +280,11 @@ class ExponentialFamily(SequenceFamily):
         err = ((2.0 * start + 8.0) + 2.0 * q / (1.0 - q)) * _U * value
         return _outward(value - err, value + err)
 
-    def min_term_overall(self) -> float:
-        return self.term(1) if self.alpha >= 0 else 0.0
+    def _trend(self) -> float:
+        return self.alpha
 
-    def is_nondecreasing(self) -> bool:
-        return self.alpha >= 0
-
-    def sup_index_below(self, x: float) -> float:
-        if self.alpha < 0:
-            raise InvalidParameterError(
-                "a_nonmonotone", "decreasing exponential family has no sup index"
-            )
-        if self.alpha == 0:
-            return INFINITE if self.c < x else 0
-        if not (self.term(1) < x):
-            return 0
-        guess = (math.log(x) - math.log(self.c)) / self.alpha
-        return _adjusted_max_index(self.term, guess, x)
+    def _index_guess(self, x: float) -> float:
+        return (math.log(x) - math.log(self.c)) / self.alpha
 
 
 TailRule = Union[SequenceFamily, str, None]
@@ -338,8 +296,10 @@ class ExplicitFamily(SequenceFamily):
 
     ``tail`` is either ``"repeat"`` (last value repeated forever),
     another family evaluated at the absolute index j for j > len(values),
-    or None.  With tail None every tail-dependent question raises
-    :class:`UndecidableTail`.
+    or None.  ``"repeat"`` is read as the constant tail
+    ``ConstantFamily(values[-1])``, so every question has two parts: the
+    listed values, then the tail family.  With tail None every
+    tail-dependent question raises :class:`UndecidableTail`.
     """
 
     values: tuple[float, ...]
@@ -350,69 +310,55 @@ class ExplicitFamily(SequenceFamily):
         object.__setattr__(self, "values", tuple(float(v) for v in self.values))
         if not self.values:
             raise InvalidParameterError("term_undefined", "explicit family needs at least one value")
-        if isinstance(self.tail, str) and self.tail != "repeat":
+        if not (self.tail is None or isinstance(self.tail, SequenceFamily) or self.tail == "repeat"):
             raise InvalidParameterError(
                 "term_undefined", f"unknown tail rule {self.tail!r}; use 'repeat', a family, or None"
             )
+
+    def _tail_family(self, undecidable: str) -> SequenceFamily:
+        """The family that continues the values; without a tail rule,
+        UndecidableTail(undecidable)."""
+        if self.tail is None:
+            raise UndecidableTail(undecidable)
+        if self.tail == "repeat":
+            return ConstantFamily(self.values[-1])
+        return self.tail
 
     def term(self, j: int) -> float:
         self._require_index(j)
         if j <= len(self.values):
             return self.values[j - 1]
-        if self.tail == "repeat":
-            return self.values[-1]
-        if isinstance(self.tail, SequenceFamily):
-            return self.tail.term(j)
-        raise UndecidableTail(
+        return self._tail_family(
             f"term {j} of an explicit family with {len(self.values)} values and no tail rule"
-        )
+        ).term(j)
 
     def limit(self) -> float:
-        if self.tail == "repeat":
-            return self.values[-1]
-        if isinstance(self.tail, SequenceFamily):
-            return self.tail.limit()
-        raise UndecidableTail("limit of an explicit family without a tail rule")
+        return self._tail_family("limit of an explicit family without a tail rule").limit()
 
     def log_growth(self) -> float:
         # A finite prefix never moves a liminf.
-        if self.tail == "repeat":
-            return 0.0
-        if isinstance(self.tail, SequenceFamily):
-            return self.tail.log_growth()
-        raise UndecidableTail("growth rate of an explicit family without a tail rule")
+        return self._tail_family("growth rate of an explicit family without a tail rule").log_growth()
 
     def reciprocal_sum(self, start: int = 1) -> Interval:
         # each reciprocal is rounded once and fsum rounds once more
         head = math.fsum(1.0 / v for v in self.values[start - 1 :])
         err = 2.0 * _U * head
-        tail_start = max(start, len(self.values) + 1)
-        if self.tail == "repeat":
-            return Interval(INFINITE, INFINITE)
-        if isinstance(self.tail, SequenceFamily):
-            tail = self.tail.reciprocal_sum(tail_start)
-            if tail.is_infinite:
-                return tail
-            return _outward(head - err + tail.lo, head + err + tail.hi)
-        raise UndecidableTail("reciprocal sum of an explicit family without a tail rule")
+        tail = self._tail_family("reciprocal sum of an explicit family without a tail rule")
+        rest = tail.reciprocal_sum(max(start, len(self.values) + 1))
+        if rest.is_infinite:
+            return rest
+        return _outward(head - err + rest.lo, head + err + rest.hi)
 
     def min_term_overall(self) -> float:
-        head = min(self.values)
-        if self.tail == "repeat":
-            return head
-        if isinstance(self.tail, SequenceFamily):
-            return min(head, self.tail.min_term_overall())
-        raise UndecidableTail("minimum of an explicit family without a tail rule")
+        tail = self._tail_family("minimum of an explicit family without a tail rule")
+        return min(min(self.values), tail.min_term_overall())
 
     def is_nondecreasing(self) -> bool:
         if any(u > v for u, v in zip(self.values, self.values[1:])):
             return False
-        if self.tail == "repeat":
-            return True
-        if isinstance(self.tail, SequenceFamily):
-            seam = self.tail.term(len(self.values) + 1)
-            return self.values[-1] <= seam and self.tail.is_nondecreasing()
-        raise UndecidableTail("monotonicity of an explicit family without a tail rule")
+        tail = self._tail_family("monotonicity of an explicit family without a tail rule")
+        seam = tail.term(len(self.values) + 1)
+        return self.values[-1] <= seam and tail.is_nondecreasing()
 
     def sup_index_below(self, x: float) -> float:
         # Scan the listed values first; only consult the tail when every
@@ -423,32 +369,32 @@ class ExplicitFamily(SequenceFamily):
                 best = j
         if best < len(self.values):
             return best
-        if self.tail == "repeat":
-            return INFINITE if self.values[-1] < x else best
-        if isinstance(self.tail, SequenceFamily):
-            seam = len(self.values) + 1
-            if not (self.tail.term(seam) < x):
-                return best
-            rest = self.tail.sup_index_below(x)
-            return rest if math.isinf(rest) else max(best, int(rest))
-        raise UndecidableTail(
+        tail = self._tail_family(
             f"sup index for x={x} depends on the undeclared tail of an explicit family"
         )
+        if not (tail.term(best + 1) < x):
+            return best
+        rest = tail.sup_index_below(x)
+        return rest if math.isinf(rest) else max(best, int(rest))
 
 
 def _adjusted_max_index(term, guess: float, x: float) -> int:
-    """Largest j >= 1 with term(j) < x, starting from a float guess.
+    """Largest j >= 1 with term(j) < x (0 when none), starting from a float
+    guess.
 
     The guess comes from inverting the closed form; the final answer is
     settled by direct strict comparisons so rounding in the inversion
-    cannot shift the boundary.
+    cannot shift the boundary.  Steps up from the guess double and the
+    bracket is then bisected, so a run of equal rounded terms costs a
+    logarithmic number of comparisons.
     """
-    j = max(1, int(math.floor(guess)))
-    while term(j + 1) < x:
-        j += 1
-    while j >= 1 and not (term(j) < x):
-        j -= 1
-    return j
+    lo, hi, step = 0, max(1, int(math.floor(guess))), 1
+    while term(hi) < x:
+        lo, hi, step = hi, hi + step, 2 * step
+    while hi - lo > 1:  # term(lo) < x (or lo = 0) and term(hi) >= x
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if term(mid) < x else (lo, mid)
+    return lo
 
 
 # ---------------------------------------------------------------------------
@@ -535,61 +481,47 @@ def _as_number(value, path: str) -> float:
     return float(value)
 
 
+# kind -> (class, its fields in config order)
+_KINDS = {
+    "constant": (ConstantFamily, ("c",)),
+    "power": (PowerFamily, ("c", "k")),
+    "geometric": (GeometricFamily, ("c", "r")),
+    "exponential": (ExponentialFamily, ("c", "alpha")),
+    "explicit": (ExplicitFamily, ("values", "tail")),
+}
+
+
 def family_from_config(obj, path: str = "") -> SequenceFamily:
     if not isinstance(obj, dict):
         raise ConfigError(path, f"expected an object describing a family, got {obj!r}")
     kind = _need(obj, "family", path)
     sub = lambda key: f"{path}.{key}" if path else key
-    if kind == "constant":
-        return ConstantFamily(_as_number(_need(obj, "c", path), sub("c")))
-    if kind == "power":
-        return PowerFamily(
-            _as_number(_need(obj, "c", path), sub("c")),
-            _as_number(_need(obj, "k", path), sub("k")),
-        )
-    if kind == "geometric":
-        return GeometricFamily(
-            _as_number(_need(obj, "c", path), sub("c")),
-            _as_number(_need(obj, "r", path), sub("r")),
-        )
-    if kind == "exponential":
-        return ExponentialFamily(
-            _as_number(_need(obj, "c", path), sub("c")),
-            _as_number(_need(obj, "alpha", path), sub("alpha")),
-        )
-    if kind == "explicit":
-        raw = _need(obj, "values", path)
-        if not isinstance(raw, list) or not raw:
-            raise ConfigError(sub("values"), "expected a nonempty list of numbers")
-        values = tuple(_as_number(v, f"{sub('values')}[{i}]") for i, v in enumerate(raw))
-        tail_obj = obj.get("tail")
-        tail: TailRule
-        if tail_obj is None:
-            tail = None
-        elif tail_obj == "repeat":
-            tail = "repeat"
-        elif isinstance(tail_obj, dict):
-            tail = family_from_config(tail_obj, sub("tail"))
-        else:
-            raise ConfigError(sub("tail"), f"expected 'repeat', a family object, or null, got {tail_obj!r}")
-        return ExplicitFamily(values, tail)
-    raise ConfigError(sub("family"), f"unknown family kind {kind!r}")
+    if not (isinstance(kind, str) and kind in _KINDS):
+        raise ConfigError(sub("family"), f"unknown family kind {kind!r}")
+    cls, fields = _KINDS[kind]
+    if cls is not ExplicitFamily:
+        return cls(*(_as_number(_need(obj, key, path), sub(key)) for key in fields))
+    raw = _need(obj, "values", path)
+    if not isinstance(raw, list) or not raw:
+        raise ConfigError(sub("values"), "expected a nonempty list of numbers")
+    values = tuple(_as_number(v, f"{sub('values')}[{i}]") for i, v in enumerate(raw))
+    tail = obj.get("tail")
+    try:
+        return ExplicitFamily(values, family_from_config(tail, sub("tail")) if isinstance(tail, dict) else tail)
+    except InvalidParameterError as exc:  # the values are valid, so the tail rule is not
+        raise ConfigError(sub("tail"), f"expected 'repeat', a family object, or null, got {tail!r}") from exc
+
+
+def _config_value(value):
+    if isinstance(value, SequenceFamily):
+        return family_to_config(value)
+    return list(value) if isinstance(value, tuple) else value
 
 
 def family_to_config(family: SequenceFamily) -> dict:
-    if isinstance(family, ConstantFamily):
-        return {"family": "constant", "c": family.c}
-    if isinstance(family, PowerFamily):
-        return {"family": "power", "c": family.c, "k": family.k}
-    if isinstance(family, GeometricFamily):
-        return {"family": "geometric", "c": family.c, "r": family.r}
-    if isinstance(family, ExponentialFamily):
-        return {"family": "exponential", "c": family.c, "alpha": family.alpha}
-    if isinstance(family, ExplicitFamily):
-        tail = family.tail
-        if isinstance(tail, SequenceFamily):
-            tail = family_to_config(tail)
-        return {"family": "explicit", "values": list(family.values), "tail": tail}
+    for kind, (cls, fields) in _KINDS.items():
+        if isinstance(family, cls):
+            return {"family": kind, **{key: _config_value(getattr(family, key)) for key in fields}}
     raise TypeError(f"not a serializable family: {family!r}")
 
 
@@ -618,13 +550,18 @@ def params_to_config(params: KorobovParams) -> dict:
     }
 
 
-def load_params(path) -> KorobovParams:
-    """Read and validate a JSON params file."""
+def _read_json(path):
+    """The JSON value in the file at path; ConfigError when the file
+    cannot be read or does not parse."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise ConfigError(str(path), f"cannot read: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(str(path), f"invalid JSON: {exc}") from exc
-    return params_from_config(obj)
+
+
+def load_params(path) -> KorobovParams:
+    """Read and validate a JSON params file."""
+    return params_from_config(_read_json(path))

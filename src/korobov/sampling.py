@@ -28,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._series import beyond_window_mass, coset_sum_upper
+from ._series import beyond_window_mass, coset_sum_upper, nonzero_mass_upper
 from .errors import CapExceeded, InvalidParameterError
 from .grids import (
     DEFAULT_GRID_CAP,
@@ -611,7 +611,8 @@ def _oracle_many(
 
     Jobs with an equal trunc_x share one window (one ``enumerate_below``
     call and one exp of its exponents) and its beyond-window mass, which
-    depends on the window alone.  The grouping, the coset cap, ``kept``,
+    depends on the window alone; the space's whole nonzero mass, which
+    that mass reads, is summed once per call.  The grouping, the coset cap, ``kept``,
     ``p_max`` and the slack are per job, so every result is that of a
     call on its job alone.  A job whose window exceeds ``cap_set`` or
     whose largest coset exceeds ``coset_cap`` gets that
@@ -629,6 +630,7 @@ def _oracle_many(
     results: list[OracleResult | CapExceeded | None] = [None] * len(jobs)
     windows: dict[float, tuple[IndexSet, np.ndarray] | CapExceeded] = {}
     masses: dict[float, tuple[float, float]] = {}  # omega**trunc_x and the mass beyond
+    total = None  # the nonzero mass, once some job reaches the bracket stage
     batch = []  # (job, trunc_x, weights, kept, ids, largest coset) to bracket
     for i, (alg, trunc_x) in enumerate(jobs):
         params = alg.params
@@ -654,10 +656,12 @@ def _oracle_many(
             results[i] = CapExceeded("coset size", coset_cap, needed=largest)
             continue
         if trunc_x not in masses:
+            if total is None:
+                total = nonzero_mass_upper(params.omega, a_values(params), b_values(params), tol)
             # math.fsum is exactly rounded, so walk order sums like any other
             masses[trunc_x] = beyond_window_mass(
                 params.omega, a_values(params), b_values(params), trunc_x,
-                walk_weights[window.walk_exponents > 0.0], tol,
+                walk_weights[window.walk_exponents > 0.0], total,
             )
         batch.append((i, trunc_x, walk_weights[order], exponents < alg.threshold, ids, largest))
 
