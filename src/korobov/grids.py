@@ -7,7 +7,10 @@ Fourier coefficient on the grid returns the sum of true coefficients
 over a dual-lattice coset, which is the single identity everything in
 the standard-information analysis rests on.
 
-Grids are streamed in blocks, never materialized: n grows as a product.
+Function values on a grid are computed by sum factorisation, one
+coordinate at a time, and held as one array of n complex values: at most
+16 MB at the default cap of 10**6 points.  Points themselves are never
+materialized; the sampled character sums stream them in blocks.
 """
 
 from __future__ import annotations
@@ -22,7 +25,8 @@ import numpy as np
 from ._series import nonzero_mass_upper
 from .errors import CapExceeded, InvalidParameterError
 from .params import KorobovParams, a_values, b_values
-from .space import FourierPolynomial, evaluate_many
+from .space import FourierPolynomial
+from .space import evaluate_many  # noqa: F401  (wrapped by name in bench/tracer.py)
 
 __all__ = [
     "DEFAULT_GRID_CAP",
@@ -96,14 +100,93 @@ def in_dual(grid: RegularGrid, h: Sequence[int]) -> bool:
     return all(int(hj) % m == 0 for hj, m in zip(h, grid.mesh))
 
 
+def _phase_table(residues: np.ndarray, m: int) -> np.ndarray:
+    """e^{2 pi i (r k mod m)/m} for each residue r (rows) and k < m
+    (columns), indexed in exact integer arithmetic."""
+    k = np.arange(m, dtype=np.int64)
+    roots = np.exp(2j * np.pi * k / m)
+    return roots[(residues[:, None] * k[None, :]) % m]
+
+
+def _row_chunks(depth: np.ndarray, mesh: tuple[int, ...], budget: int) -> Iterator[tuple[int, int]]:
+    """Consecutive ranges [lo, hi) of the sorted support whose contraction
+    keeps every phase table and partial sum within ``budget`` entries.
+
+    Contracting coordinate j of a range with P_L distinct frequency
+    prefixes of length L holds a phase table of P_j x m_j entries and
+    partial sums of P_{j-1} x (m_j * ... * m_s) entries, the last of them
+    the n values.  Row i starts a new length-L prefix when
+    ``depth[i] < L``; a single row always fits a budget of n.
+    """
+    lengths = range(1, len(mesh) + 1)
+    counts = [np.cumsum(depth < L) for L in lengths]
+    caps = [budget // max(mesh[L - 1], math.prod(mesh[L:])) for L in lengths]
+    lo = 0
+    while lo < depth.size:
+        # rows lo..hi-1 hold 1 + c[hi - 1] - c[lo] prefixes of each length
+        hi = min(int(np.searchsorted(c, c[lo] + cap - 1, "right")) for c, cap in zip(counts, caps))
+        yield lo, hi
+        lo = hi
+
+
+def _contract(
+    residues: np.ndarray, coeffs: np.ndarray, depth: np.ndarray, mesh: tuple[int, ...]
+) -> np.ndarray:
+    """Values at all grid points, row-major, of the sum over sorted rows
+    of coeffs * e^{2 pi i h.k/m}, with h given by its residues mod mesh
+    and ``depth`` as in :func:`_grid_values` (-1 for the first row).
+
+    The last coordinate is contracted first: at coordinate j the partial
+    sums of all rows sharing a prefix h_1..h_{j-1} are combined by one
+    matmul with their phase table, so each row still enters on its own.
+    The last contraction, over the empty prefix, yields the values.
+    """
+    rows = np.arange(depth.size)
+    partial = coeffs[:, None]
+    for j in reversed(range(len(mesh))):
+        phases = _phase_table(residues[rows, j], mesh[j])
+        starts = np.flatnonzero(depth[rows] < j)
+        out = np.empty((starts.size, mesh[j], partial.shape[1]), dtype=complex)
+        for g, (lo, hi) in enumerate(zip(starts, [*starts[1:], rows.size])):
+            np.matmul(phases[lo:hi].T, partial[lo:hi], out=out[g])
+        partial = out.reshape(starts.size, -1)
+        rows = rows[starts]
+    return partial[0]
+
+
+def _grid_values(grid: RegularGrid, f: FourierPolynomial) -> np.ndarray:
+    """f at all n grid points in row-major order, by sum factorisation.
+
+    Every frequency of f enters with its own coefficient; coefficients
+    are never folded into coset sums first.  The support is contracted in
+    consecutive chunks, so besides the n values at most a few n-sized
+    arrays are alive, whatever |supp f|.
+    """
+    keys = sorted(f.coefficients)
+    if not keys:
+        return np.zeros(grid.n, dtype=complex)
+    mesh = grid.mesh
+    residues = np.array([[hj % m for hj, m in zip(h, mesh)] for h in keys], dtype=np.int64)
+    coeffs = np.array([f.coefficients[h] for h in keys], dtype=complex)
+    # depth[i]: first coordinate where row i differs from row i - 1 (-1 for row 0)
+    depth = np.array(
+        [-1] + [next(j for j, (u, v) in enumerate(zip(g, h)) if u != v) for g, h in zip(keys, keys[1:])]
+    )
+    parts = (
+        _contract(residues[lo:hi], coeffs[lo:hi], np.r_[-1, depth[lo + 1 : hi]], mesh)
+        for lo, hi in _row_chunks(depth, mesh, grid.n)
+    )
+    values = next(parts)
+    for part in parts:
+        values += part
+    return values
+
+
 def sample_mean(grid: RegularGrid, f: FourierPolynomial, cap: int = DEFAULT_GRID_CAP) -> complex:
-    """(1/n) sum_k f(x_k), streamed over the grid."""
+    """(1/n) sum_k f(x_k): the mean of f's n values on the grid."""
     if grid.n > cap:
         raise CapExceeded("grid size", cap, needed=grid.n)
-    total = 0j
-    for pts in _point_blocks(grid):
-        total += evaluate_many(f, pts).sum()
-    return total / grid.n
+    return complex(_grid_values(grid, f).mean())
 
 
 def aliased_coefficients(
@@ -117,11 +200,13 @@ def aliased_coefficients(
     if grid.n > cap:
         raise CapExceeded("grid size", cap, needed=grid.n)
     H = np.asarray(hs, dtype=float).reshape(len(hs), grid.s)
+    values = _grid_values(grid, f)
     out = np.zeros(len(hs), dtype=complex)
+    start = 0
     for pts in _point_blocks(grid):
-        values = evaluate_many(f, pts)
         phases = np.exp(-2j * np.pi * (pts @ H.T))
-        out += values @ phases
+        out += values[start : start + len(pts)] @ phases
+        start += len(pts)
     return out / grid.n
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Union
@@ -43,6 +44,7 @@ __all__ = [
 
 INFINITE = math.inf
 _U = 2.0**-53  # unit roundoff of float64
+_FLOAT_MAX = sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -122,12 +124,12 @@ class SequenceFamily:
             return INFINITE
         return self.term(1) if trend == 0 else 0.0
 
-    def min_term_overall(self) -> float:
-        """inf_j term_j over the whole infinite sequence."""
-        return self.term(1) if self._trend() >= 0 else 0.0
+    def min_term_overall(self, start: int = 1) -> float:
+        """inf_{j >= start} term_j, over the whole infinite tail."""
+        return self.term(start) if self._trend() >= 0 else 0.0
 
-    def is_nondecreasing(self) -> bool:
-        """True when term_j <= term_{j+1} for all j (the whole tail)."""
+    def is_nondecreasing(self, start: int = 1) -> bool:
+        """True when term_j <= term_{j+1} for all j >= start."""
         return self._trend() >= 0
 
     def sup_index_below(self, x: float) -> float:
@@ -144,9 +146,13 @@ class SequenceFamily:
             )
         if not (self.term(1) < x):
             return 0
-        if trend == 0:
+        if trend == 0 or x == INFINITE:  # every true term is finite
             return INFINITE
-        return _adjusted_max_index(self.term, self._index_guess(x), x)
+        try:
+            guess = self._index_guess(x)
+        except OverflowError:
+            guess = INFINITE
+        return _adjusted_max_index(self.term, guess, x)
 
     def _require_index(self, j: int) -> None:
         if not isinstance(j, int) or j < 1:
@@ -349,16 +355,23 @@ class ExplicitFamily(SequenceFamily):
             return rest
         return _outward(head - err + rest.lo, head + err + rest.hi)
 
-    def min_term_overall(self) -> float:
-        tail = self._tail_family("minimum of an explicit family without a tail rule")
-        return min(min(self.values), tail.min_term_overall())
+    # The tail is only read at indices past the listed values, so it is
+    # asked about those indices alone.
 
-    def is_nondecreasing(self) -> bool:
-        if any(u > v for u, v in zip(self.values, self.values[1:])):
+    def min_term_overall(self, start: int = 1) -> float:
+        tail = self._tail_family("minimum of an explicit family without a tail rule")
+        rest = tail.min_term_overall(max(start, len(self.values) + 1))
+        return min([*self.values[start - 1 :], rest])
+
+    def is_nondecreasing(self, start: int = 1) -> bool:
+        head = self.values[start - 1 :]
+        if any(u > v for u, v in zip(head, head[1:])):
             return False
         tail = self._tail_family("monotonicity of an explicit family without a tail rule")
-        seam = tail.term(len(self.values) + 1)
-        return self.values[-1] <= seam and tail.is_nondecreasing()
+        first = len(self.values) + 1
+        if head and not head[-1] <= tail.term(first):
+            return False
+        return tail.is_nondecreasing(max(start, first))
 
     def sup_index_below(self, x: float) -> float:
         # Scan the listed values first; only consult the tail when every
@@ -388,7 +401,9 @@ def _adjusted_max_index(term, guess: float, x: float) -> int:
     bracket is then bisected, so a run of equal rounded terms costs a
     logarithmic number of comparisons.
     """
-    lo, hi, step = 0, max(1, int(math.floor(guess))), 1
+    # a guess past the float range (or no guess) starts from the largest
+    # float; the search below runs in Python ints, which do not overflow
+    lo, hi, step = 0, max(1, int(guess if guess < _FLOAT_MAX else _FLOAT_MAX)), 1
     while term(hi) < x:
         lo, hi, step = hi, hi + step, 2 * step
     while hi - lo > 1:  # term(lo) < x (or lo = 0) and term(hi) >= x

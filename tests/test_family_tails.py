@@ -56,6 +56,9 @@ EXPLICIT = [
     ExplicitFamily((1.0, 5.0), PowerFamily(1.0, 1.0)),  # drops at the seam
     ExplicitFamily((1.0, 2.0), ExponentialFamily(1.0, -0.5)),
     ExplicitFamily((1.0, 2.0), ExplicitFamily((2.0, 2.0, 7.0), "repeat")),
+    # a nested tail is read only past the outer values: 1, 2, 7, 7, ...
+    ExplicitFamily((1.0, 2.0), ExplicitFamily((0.0, 0.0, 7.0), "repeat")),
+    ExplicitFamily((1.0, 2.0), ExplicitFamily((9.0, 0.0, 7.0), "repeat")),
 ]
 FAMILIES = CLOSED + EXPLICIT
 INDICES = list(range(1, 3001)) + [2**k for k in range(12, 200, 7)]
@@ -149,7 +152,26 @@ def test_sup_index_crosses_a_run_of_equal_rounded_terms(family, x):
     assert family.term(j) < x <= family.term(j + 1)
 
 
-@pytest.mark.parametrize("guess", [1.0, 2.0**500, 1e300, 1e301])
+@pytest.mark.parametrize("family", [f for f in FAMILIES if f.is_nondecreasing()], ids=repr)
+def test_sup_index_below_infinity_is_infinite(family):
+    # every term is finite, so none reaches an infinite budget
+    assert family.sup_index_below(math.inf) == math.inf
+
+
+@pytest.mark.parametrize(
+    "family,x",
+    [(PowerFamily(7.0, 0.5), 1e300), (PowerFamily(1.0, 0.04), 1e300),
+     (ExplicitFamily((1.0, 2.0), PowerFamily(7.0, 0.5)), 1e300)],
+    ids=repr,
+)
+def test_sup_index_past_the_float_range_of_the_guess(family, x):
+    # inverting the closed form overflows a float; the search runs in ints
+    j = family.sup_index_below(x)
+    assert isinstance(j, int)
+    assert family.term(j) < x <= family.term(j + 1)
+
+
+@pytest.mark.parametrize("guess", [1.0, 2.0**500, 1e300, 1e301, math.inf, math.nan])
 def test_sup_index_search_does_not_depend_on_the_guess(guess):
     # From far below, only doubling steps reach the boundary near 1e300.
     family = PowerFamily(1.0, 1.0)
@@ -167,6 +189,17 @@ def test_complexity_with_a_budget_deep_in_a_power_family_returns(tmp_path):
     assert out.read_text().splitlines()[1] == (
         "2,1e-300,cap_exceeded,1.3494029824632788e+30,5.3976119298531106e+30"
     )
+
+
+def test_complexity_with_a_budget_past_the_float_range_writes_a_row(tmp_path):
+    cfg = tmp_path / "deeper.json"
+    cfg.write_text(
+        '{"omega": 0.999999999999, "s": 2, "a": {"family": "power", "c": 1, "k": 0.04},'
+        ' "b": {"family": "constant", "c": 1}, "eps": [1e-300]}'
+    )
+    out = tmp_path / "deeper.csv"
+    assert main(["complexity", "--config", str(cfg), "--out", str(out)]) == 0
+    assert out.read_text().splitlines()[1].startswith("2,1e-300,cap_exceeded,")
 
 
 @pytest.mark.parametrize("tail", [5, 2.0, ("repeat",), "cycle"], ids=repr)

@@ -1,0 +1,108 @@
+"""Grid values by sum factorisation against the direct evaluation.
+
+``_grid_values`` computes f at every point of a regular grid one
+coordinate at a time; ``evaluate_many`` sums f's Fourier terms at each
+point directly.  They must agree everywhere, the sampled quantities built
+on the grid values must equal the dual-lattice coset sums (the aliasing
+identity of criterion 06), and the evaluation must not need memory
+beyond a few n-sized arrays, whatever the size of f's support.
+"""
+
+import math
+import tracemalloc
+
+import hypothesis.strategies as st
+import numpy as np
+from hypothesis import HealthCheck, given, settings
+
+from conftest import make_params
+from korobov.grids import (
+    RegularGrid,
+    _grid_values,
+    aliased_coefficients,
+    dual_coset_sum,
+    grid_points,
+    sample_mean,
+)
+from korobov.index_set import enumerate_below
+from korobov.integration import GridRule, integrate
+from korobov.space import FourierPolynomial, evaluate_many, random_unit_ball
+
+PARAMS = {s: make_params(0.5, (1.0,) * s, (1.0,) * s) for s in (1, 2, 3)}
+
+
+@st.composite
+def polynomials_on_grids(draw):
+    s = draw(st.integers(1, 3))
+    mesh = tuple(draw(st.lists(st.integers(1, 8), min_size=s, max_size=s)))
+    # frequencies reach past the mesh on both sides, so they alias
+    freqs = st.tuples(*(st.integers(-2 * m - 2, 2 * m + 2) for m in mesh))
+    parts = st.floats(-1.0, 1.0, allow_nan=False)
+    coeffs = draw(st.dictionaries(freqs, st.tuples(parts, parts), max_size=30))
+    f = FourierPolynomial(PARAMS[s], {h: complex(re, im) for h, (re, im) in coeffs.items()})
+    return RegularGrid(mesh), f
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(polynomials_on_grids())
+def test_grid_values_equal_pointwise_evaluation(case):
+    grid, f = case
+    values = _grid_values(grid, f)
+    direct = evaluate_many(f, np.array(list(grid_points(grid))))
+    assert values.shape == (grid.n,)
+    scale = sum(abs(c) for c in f.coefficients.values())
+    assert np.max(np.abs(values - direct)) <= 1e-13 * scale
+
+
+def test_empty_support_gives_zeros():
+    values = _grid_values(RegularGrid((3, 1, 4)), FourierPolynomial(PARAMS[3], {}))
+    assert values.shape == (12,) and not values.any()
+
+
+def test_sampled_quantities_are_coset_sums():
+    rng = np.random.default_rng(606)
+    worst = 0.0
+    for _ in range(150):
+        s = int(rng.integers(1, 4))
+        mesh = tuple(int(v) for v in rng.integers(1, 22, size=s))
+        if math.prod(mesh) > 10_000:
+            continue
+        grid = RegularGrid(mesh)
+        coeffs = {
+            tuple(int(v) for v in rng.integers(-30, 31, size=s)): complex(rng.normal(), rng.normal())
+            for _ in range(int(rng.integers(1, 26)))
+        }
+        f = FourierPolynomial(PARAMS[s], coeffs)
+        scale = max(1.0, sum(abs(c) for c in coeffs.values()))
+        targets = [tuple(int(v) for v in rng.integers(-8, 9, size=s)) for _ in range(4)]
+        zero = (0,) * s
+        sampled = aliased_coefficients(grid, f, targets)
+        pairs = [(sample_mean(grid, f), zero), (integrate(GridRule(grid), f), zero)]
+        pairs += list(zip(sampled, targets))
+        for value, h in pairs:
+            worst = max(worst, abs(value - dual_coset_sum(grid, f, h)) / scale)
+    assert worst <= 1e-11
+
+
+def test_memory_stays_within_a_few_grid_arrays():
+    params = make_params(0.5, (1.0, 1.0, 1.0), (1.0, 1.0, 1.0))
+    f = random_unit_ball(params, enumerate_below(params, 9.0), seed=12)
+    assert len(f.coefficients) == 833
+    assert len({h[0] for h in f.coefficients}) == 17
+    grid = RegularGrid((1, 1000, 1000))
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        values = _grid_values(grid, f)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert values.shape == (grid.n,)
+    assert peak - start <= 6 * 16 * grid.n
+    # spot-check a few points against the direct sum
+    idx = np.array([0, 1, 999, 123_456, 999_999])
+    points = np.stack([np.zeros(idx.size), idx // 1000 / 1000, idx % 1000 / 1000], axis=1)
+    assert np.max(np.abs(values[idx] - evaluate_many(f, points))) <= 1e-13 * sum(
+        abs(c) for c in f.coefficients.values()
+    )
+
