@@ -2,8 +2,11 @@
 
 The only place that sums S(a, b) = sum_{h>=1} omega**(a*h**b), b >= 1,
 or a one-dimensional coset series sum_{l != 0} omega**(a*|r + m l|**b),
-forms the product prod_j (1 + 2 S(a_j, b_j)) = sum_h omega**E(h), from
-above or from below, or bounds the mass beyond an enumerated window;
+forms the excess prod_j (1 + rho_j) - 1, or bounds the mass beyond an
+enumerated window.  :func:`weight_sum` brackets S from one set of terms,
+:func:`product_excess` forms the excess by the one recurrence
+sum_j rho_j prod_{i<j} (1 + rho_i), and :func:`nonzero_mass` brackets
+sum_{h != 0} omega**E(h) = prod_j (1 + 2 S(a_j, b_j)) - 1 with both;
 dual lattices enter as scaled weights a_j*m_j**b_j or a_j*(m_j/2)**b_j.
 Results are certified in floating point, upper values rounded up and
 lower values down: u = 2**-53, elementary functions within 8 u,
@@ -18,12 +21,12 @@ from typing import Sequence
 import numpy as np
 
 from .index_set import _pow_term
+from .params import _U, Interval
 
-__all__ = ["weight_terms", "weight_sum_upper", "coset_sum_upper", "nonzero_mass_upper",
-           "nonzero_mass_lower", "series_ceiling", "log_product_ceiling", "beyond_window_mass"]
+__all__ = ["weight_terms", "weight_sum", "coset_sum_upper", "product_excess", "nonzero_mass",
+           "series_ceiling", "log_product_ceiling", "beyond_window_mass"]
 
 _MAX_TERMS = 10**7
-_U = 2.0**-53  # unit roundoff of float64
 _TINY = 2.0**-1070  # 16 subnormal units
 _LOG_HUGE = 709.0  # exp overflows above this
 
@@ -60,13 +63,16 @@ def weight_terms(omega: float, a: float, b: float, tol: float) -> tuple[np.ndarr
     return terms[: last + 1], math.nextafter(tail, math.inf) + _TINY, margin
 
 
-def weight_sum_upper(omega: float, a: float, b: float, tol: float = 1e-16) -> float:
-    """Certified upper value of S(a, b), within about tol above it: the
-    ``math.fsum`` of the terms plus their margins and the tail, widened by
-    4 u for the sums and rounded up."""
+def weight_sum(omega: float, a: float, b: float, tol: float) -> Interval:
+    """Certified bracket of S(a, b) from one set of :func:`weight_terms`:
+    the ``math.fsum`` of the terms minus their margins, narrowed by 4 u,
+    below, and plus their margins and the tail, widened by 4 u and rounded
+    up, above, so the upper end is within about tol above the sum."""
     terms, tail, margin = weight_terms(omega, a, b, tol)
+    total = math.fsum(terms.tolist())
     widen = math.fsum((terms * margin).tolist()) + terms.size * _TINY
-    return math.nextafter((math.fsum(terms.tolist()) + widen + tail) * (1.0 + 4.0 * _U), math.inf)
+    return Interval(max((total - widen) * (1.0 - 4.0 * _U), 0.0),
+                    math.nextafter((total + widen + tail) * (1.0 + 4.0 * _U), math.inf))
 
 
 def coset_sum_upper(log_w: float, a: float, b: float, m: int, h: int, tol: float) -> float:
@@ -101,37 +107,32 @@ def _factor_tol(omega: float, av: Sequence[float], bv: Sequence[float], tol: flo
     return tol / (4.0 * len(av)) * math.exp(-log_product_ceiling([a * log_inv for a in av], bv))
 
 
-def nonzero_mass_upper(omega: float, av: Sequence[float], bv: Sequence[float], tol: float = 1e-14) -> float:
-    """Certified upper value of sum_{h != 0} omega**E(h) = prod_j (1 + 2 S_j) - 1,
-    formed as sum_j 2 S_j prod_{i<j} (1 + 2 S_i), never as product - 1, so
-    its rounding, (4 s + 4) u, stays relative to the mass.  Each S_j is a
-    :func:`weight_sum_upper` at tolerance tol / (4 s C), C the product's
-    ceiling, so the result is within tol plus its margins above the mass."""
-    s, per_factor = len(av), _factor_tol(omega, av, bv, tol)
-    grown, mass = 1.0, 0.0
-    for a, b in zip(av, bv):
-        rho = 2.0 * weight_sum_upper(omega, a, b, tol=per_factor)
-        mass += rho * grown
+def product_excess(rhos):
+    """prod_j (1 + rho_j) - 1 formed as sum_j rho_j prod_{i<j} (1 + rho_i),
+    never as product - 1, so its rounding, 2 u per step, stays relative to
+    the result also far below one.  ``rhos`` holds floats, or equal-length
+    arrays taken elementwise."""
+    grown, excess = 1.0, 0.0
+    for rho in rhos:
+        excess += rho * grown
         grown += rho * grown
-    return math.nextafter(mass * (1.0 + (4.0 * s + 4.0) * _U) + s * _TINY, math.inf)
+    return excess
 
 
-def nonzero_mass_lower(omega: float, av: Sequence[float], bv: Sequence[float], tol: float = 1e-14) -> float:
-    """Certified lower value of sum_{h != 0} omega**E(h), the same
-    sum_j 2 S_j prod_{i<j} (1 + 2 S_i) as :func:`nonzero_mass_upper` with
-    every step rounded down: each S_j is the ``math.fsum`` of its terms
-    minus their margins, narrowed by 4 u, and its tail is dropped.  The
-    terms are those :func:`nonzero_mass_upper` sums, so the two values
-    differ by the tails and the margins."""
+def nonzero_mass(omega: float, av: Sequence[float], bv: Sequence[float], tol: float = 1e-14) -> Interval:
+    """Certified bracket of sum_{h != 0} omega**E(h) = prod_j (1 + 2 S_j) - 1:
+    the :func:`product_excess` of the ends of 2 :func:`weight_sum`, each S_j
+    at tolerance tol / (4 s C), C the product's ceiling, widened by the
+    excess's rounding, (4 s + 4) u, and rounded outward.  The ends differ
+    by the tails and the margins; the upper is within tol plus its margins
+    above the mass."""
     s, per_factor = len(av), _factor_tol(omega, av, bv, tol)
-    grown, mass = 1.0, 0.0
-    for a, b in zip(av, bv):
-        terms, _, margin = weight_terms(omega, a, b, per_factor)
-        widen = math.fsum((terms * margin).tolist()) + terms.size * _TINY
-        rho = 2.0 * max((math.fsum(terms.tolist()) - widen) * (1.0 - 4.0 * _U), 0.0)
-        mass += rho * grown
-        grown += rho * grown
-    return max(math.nextafter(mass * (1.0 - (4.0 * s + 4.0) * _U) - s * _TINY, 0.0), 0.0)
+    sums = [weight_sum(omega, a, b, per_factor) for a, b in zip(av, bv)]
+    lo = product_excess([2.0 * part.lo for part in sums])
+    hi = product_excess([2.0 * part.hi for part in sums])
+    widen = (4.0 * s + 4.0) * _U
+    return Interval(max(math.nextafter(lo * (1.0 - widen) - s * _TINY, 0.0), 0.0),
+                    math.nextafter(hi * (1.0 + widen) + s * _TINY, math.inf))
 
 
 def series_ceiling(c: float, b: float) -> float:
@@ -164,7 +165,7 @@ def beyond_window_mass(
     ``window_weights``.  Outside it exponents are >= x (1 - (s + 8) u), s
     rounded terms of a possibly scaled weight: ``reach`` with log(1/omega)
     (4 u more).  The mass is the smaller of ``total``, the space's
-    :func:`nonzero_mass_upper`, minus the window (by ``math.fsum``, each
+    :func:`nonzero_mass` upper end, minus the window (by ``math.fsum``, each
     weight w within ((s + 11) log(1/w) + 8) u), which cancels in deep
     windows, and the trace bound
 

@@ -10,7 +10,7 @@ Subcommands::
 The config file is JSON; space parameters live either inline (omega, s,
 a, b at top level), under a "params" object, or behind a "params_path"
 reference.  Command-specific keys: "eps" (list), "s_list" (list),
-"meshes" (list of mesh vectors), "M", "beta", "trunc_x".
+"meshes" (list of mesh vectors), "M", "trunc_x".
 
 CSV output uses a header row, '.' decimals, 17 significant digits, and
 "#fit"-prefixed footer records, so runs diff cleanly; an identical
@@ -30,14 +30,15 @@ import os
 import sys
 
 from .errors import CapExceeded, ConfigError, InvalidParameterError, KorobovError
-from .grids import RegularGrid
-from .index_set import count_below, count_product_bounds, exponent_budget
+from .grids import DEFAULT_GRID_CAP, RegularGrid
+from .index_set import DEFAULT_SET_CAP, count_below, count_product_bounds, exponent_budget
 from .integration import GridRule, small_n_lower_bound, worst_case_int_error
 from .params import KorobovParams, _read_json, load_params, params_from_config
 # exact_worst_case_error is not called here: the subcommands run the
 # oracle through _oracle_many.  The name stays importable from this module
 # because bench/tracer.py wraps korobov.cli.exact_worst_case_error.
 from .sampling import (
+    DEFAULT_COSET_CAP,
     _oracle_many,
     build_std_algorithm,
     default_truncation,
@@ -263,24 +264,21 @@ def _build_parser() -> argparse.ArgumentParser:
     # Built once per process: parse_args leaves the parser as it found it.
     parser = argparse.ArgumentParser(prog="korobov", description=__doc__.split("\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, handler in (
-        ("analyze", _cmd_analyze),
-        ("complexity", _cmd_complexity),
-        ("convergence", _cmd_convergence),
-        ("integrate", _cmd_integrate),
+    cap_n = ("--cap-n", DEFAULT_GRID_CAP, "grid size cap")
+    cap_set = ("--cap-set", DEFAULT_SET_CAP, "index set cap")
+    coset_cap = ("--coset-cap", DEFAULT_COSET_CAP, "largest dual-lattice coset the oracle accepts")
+    # each subcommand takes the caps its handler reads, and no other
+    for name, handler, caps in (
+        ("analyze", _cmd_analyze, ()),
+        ("complexity", _cmd_complexity, (cap_set,)),
+        ("convergence", _cmd_convergence, (cap_n, cap_set, coset_cap)),
+        ("integrate", _cmd_integrate, (cap_set, coset_cap)),
     ):
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="JSON config file")
         p.add_argument("--out", default="-", help="output path, '-' for stdout")
-        p.add_argument("--cap-n", dest="cap_n", type=int, default=10**6, help="grid size cap")
-        p.add_argument("--cap-set", dest="cap_set", type=int, default=10**6, help="index set cap")
-        p.add_argument(
-            "--coset-cap",
-            dest="coset_cap",
-            type=int,
-            default=2000,
-            help="largest dual-lattice coset the oracle accepts",
-        )
+        for flag, default, text in caps:
+            p.add_argument(flag, type=int, default=default, help=text)
         p.set_defaults(handler=handler)
     return parser
 

@@ -22,7 +22,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from ._series import nonzero_mass_upper
+from ._series import nonzero_mass
 from .errors import CapExceeded, InvalidParameterError
 from .params import KorobovParams, a_values, b_values
 from .space import FourierPolynomial
@@ -259,8 +259,9 @@ def dual_weight_sum(params: KorobovParams, grid: RegularGrid, tol: float = 1e-14
     omega**(sum_j a_j * (|l_j|/2)**b_j).
 
     The dual point l = m*k has the halved exponent of k under the weights
-    a_j*(m_j/2)**b_j, so this is their :func:`nonzero_mass_upper`: certified,
-    within about ``tol`` above the sum, and accurate also far below one.
+    a_j*(m_j/2)**b_j, so this is the upper end of their
+    :func:`nonzero_mass`: certified, within about ``tol`` above the sum,
+    and accurate also far below one.
     """
     if grid.s != params.s:
         raise InvalidParameterError(
@@ -268,4 +269,4 @@ def dual_weight_sum(params: KorobovParams, grid: RegularGrid, tol: float = 1e-14
         )
     bv = b_values(params)
     halved = [a * (m / 2.0) ** b for a, b, m in zip(a_values(params), bv, grid.mesh)]
-    return nonzero_mass_upper(params.omega, halved, bv, tol)
+    return nonzero_mass(params.omega, halved, bv, tol).hi

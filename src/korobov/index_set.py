@@ -317,7 +317,7 @@ def count_product_bounds(
             raise InvalidParameterError("term_undefined", "split weights must lie in [0,1]")
 
     j_active = last_active_coordinate(params, x)
-    top = s if math.isinf(j_active) else min(s, int(j_active))
+    top = min(s, j_active)  # j_active is an int, possibly past the float range, or inf
 
     lower = 1.0
     upper = 1.0

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ._series import nonzero_mass_lower, nonzero_mass_upper
+from ._series import nonzero_mass
 from .errors import CapExceeded, InvalidParameterError
 from .grids import DEFAULT_GRID_CAP, RegularGrid, sample_mean
 from .index_set import DEFAULT_SET_CAP, _count, _enumerate
@@ -84,13 +84,13 @@ def worst_case_int_error(
     The dual lattice of a product grid is a product, so the squared error,
     the weight mass on the nonzero dual lattice, is exactly
     prod_j (1 + 2 S(a_j m_j**b_j, b_j)) - 1 over the rescaled weights.  It
-    is bracketed in closed form, with no window: ``value`` is the square
-    root of :func:`nonzero_mass_lower`, rounded down, and ``tail_sq`` the
-    gap up to :func:`nonzero_mass_upper`, rounded up: the terms' rounding
-    margins and the dropped series tails, within ``tol`` relative to the
-    mass (taken relative to its leading term).  ``trunc_x``
-    must be positive and ``cap`` is accepted, but neither changes the
-    result: the whole dual lattice is summed.
+    is bracketed in closed form, with no window, by one
+    :func:`nonzero_mass`: ``value`` is the square root of its lower end,
+    rounded down, and ``tail_sq`` the gap up to its upper end, rounded up:
+    the terms' rounding margins and the dropped series tails, within
+    ``tol`` relative to the mass (taken relative to its leading term).
+    ``trunc_x`` must be positive and ``cap`` is accepted, but neither
+    changes the result: the whole dual lattice is summed.
     """
     if not trunc_x > 0.0:
         raise InvalidParameterError("term_undefined", f"trunc_x must be positive, got {trunc_x}")
@@ -101,12 +101,11 @@ def worst_case_int_error(
     # the mass is at least its leading term 2 omega**min(scaled): a tol
     # relative to that keeps the dropped tails a rounding width of it
     tol *= min(1.0, max(2.0 * params.omega ** min(scaled), 1e-290))
-    lower = nonzero_mass_lower(params.omega, scaled, bv, tol)
-    upper = nonzero_mass_upper(params.omega, scaled, bv, tol)
-    value = math.nextafter(math.sqrt(lower), 0.0)
+    mass = nonzero_mass(params.omega, scaled, bv, tol)
+    value = math.nextafter(math.sqrt(mass.lo), 0.0)
     # value**2 is rounded down before the subtraction, so the gap covers it
     square = math.nextafter(value * value, 0.0)
-    return IntErrorResult(value=value, tail_sq=math.nextafter(max(upper - square, 0.0), math.inf))
+    return IntErrorResult(value=value, tail_sq=math.nextafter(max(mass.hi - square, 0.0), math.inf))
 
 
 @dataclass(frozen=True)

@@ -193,7 +193,11 @@ class PowerFamily(SequenceFamily):
     def term(self, j: int) -> float:
         self._require_index(j)
         try:
-            return self.c * float(j) ** self.k
+            base = float(j)
+        except OverflowError:  # j past the float range: math.log takes ints of any size
+            base = None
+        try:
+            return self.c * (base**self.k if base is not None else math.exp(self.k * math.log(j)))
         except OverflowError:
             return INFINITE
 
@@ -388,7 +392,7 @@ class ExplicitFamily(SequenceFamily):
         if not (tail.term(best + 1) < x):
             return best
         rest = tail.sup_index_below(x)
-        return rest if math.isinf(rest) else max(best, int(rest))
+        return rest if rest == INFINITE else max(best, int(rest))  # an int may be past the float range
 
 
 def _adjusted_max_index(term, guess: float, x: float) -> int:

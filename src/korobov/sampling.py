@@ -28,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._series import beyond_window_mass, coset_sum_upper, nonzero_mass_upper
+from ._series import beyond_window_mass, coset_sum_upper, nonzero_mass, product_excess
 from .errors import CapExceeded, InvalidParameterError
 from .grids import (
     DEFAULT_GRID_CAP,
@@ -37,7 +37,7 @@ from .grids import (
     dual_weight_sum,
 )
 from .index_set import DEFAULT_SET_CAP, IndexSet, _pow_term, _reach, enumerate_below
-from .params import KorobovParams, a_values, b_values
+from .params import _U, KorobovParams, a_values, b_values
 from .space import FourierPolynomial
 
 __all__ = [
@@ -153,38 +153,31 @@ def gen_error_bound(alg: StdAlgorithm, tol: float = 1e-13) -> float:
     the weights at h + l.  It factors over coordinates as
     prod_j (own_j + rest_j) - prod_j own_j, with own_j the weight of h_j
     and rest_j the rest of its coset; it is formed without that
-    subtraction, as omega**E(h) * sum_j rho_j * prod_{i<j} (1 + rho_i)
-    with rho_j = rest_j / own_j, so rounding stays relative to each
-    term.  Each rest_j is a certified upper value within relative ``tol``
-    and each rho_j is rounded up.  The radicand is widened by the
+    subtraction, as omega**E(h) times the :func:`_series.product_excess`
+    of the rho_j = rest_j / own_j, run over the columns of every member
+    at once, so rounding stays relative to each term.  Each rest_j is a
+    certified upper value within relative ``tol`` and each rho_j, one per
+    coordinate and |h_j|, is rounded up.  The radicand is widened by the
     rounding of the sum (|A| u of it), of each member's weight (its
     exponent, below log M, carries (s+6)u of itself) and of the products
     (3s u), and the root is rounded up.
     """
     params, s = alg.params, alg.params.s
     av, bv = a_values(params), b_values(params)
-    mesh = alg.grid.mesh
     log_w = -params.log_inv_omega
-    cache: dict[tuple[int, int], float] = {}
 
     def rho(j: int, hj: int) -> float:
-        key = (j, abs(hj))
-        got = cache.get(key)
-        if got is None:
-            arg = _pow_term(av[j], hj, bv[j]) * log_w
-            widen = (6.0 * abs(arg) + 5.0) * _U
-            rest = coset_sum_upper(log_w, av[j], bv[j], mesh[j], hj, tol)
-            got = math.nextafter(rest / math.exp(arg) * (1.0 + widen), math.inf)
-            cache[key] = got
-        return got
+        arg = _pow_term(av[j], hj, bv[j]) * log_w
+        widen = (6.0 * abs(arg) + 5.0) * _U
+        rest = coset_sum_upper(log_w, av[j], bv[j], alg.grid.mesh[j], hj, tol)
+        return math.nextafter(rest / math.exp(arg) * (1.0 + widen), math.inf)
 
+    columns = []
+    for j, column in enumerate(np.abs(alg.index_set.member_array).T):
+        values, where = np.unique(column, return_inverse=True)
+        columns.append(np.array([rho(j, hj) for hj in values.tolist()])[where])
     alias_total = 0.0
-    for e, h in zip(alg.index_set.exponent_array.tolist(), alg.index_set.member_array.tolist()):
-        grown, spill = 1.0, 0.0
-        for j, hj in enumerate(h):
-            r = rho(j, hj)
-            spill += r * grown
-            grown *= 1.0 + r
+    for e, spill in zip(alg.index_set.exponent_array.tolist(), product_excess(columns).tolist()):
         alias_total += math.exp(e * log_w) * spill
     per_term = (s + 6.0) * (abs(math.log(alg.M)) + 1.0) + 3.0 * s + 6.0
     widen = (alg.index_set.count + per_term) * _U * alias_total
@@ -353,7 +346,6 @@ def default_truncation(threshold: float) -> float:
     return 2.5 * threshold
 
 
-_U = 2.0**-53  # unit roundoff of float64
 # A group stops once hi <= lo * (1 + _BRACKET_RTOL), a few ulps.
 _BRACKET_RTOL = 2.0**-50
 # Where a probe lands between lo and hi when no Newton point is taken:
@@ -657,7 +649,7 @@ def _oracle_many(
             continue
         if trunc_x not in masses:
             if total is None:
-                total = nonzero_mass_upper(params.omega, a_values(params), b_values(params), tol)
+                total = nonzero_mass(params.omega, a_values(params), b_values(params), tol).hi
             # math.fsum is exactly rounded, so walk order sums like any other
             masses[trunc_x] = beyond_window_mass(
                 params.omega, a_values(params), b_values(params), trunc_x,

@@ -14,7 +14,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from ._series import log_product_ceiling, nonzero_mass_upper, weight_terms
+from ._series import _factor_tol, nonzero_mass, weight_terms
 from .errors import ConfigError, InvalidParameterError
 from .index_set import IndexSet, weight_exponent
 from .params import KorobovParams, a_values, b_values
@@ -199,8 +199,9 @@ def random_unit_ball(
 
 def kernel_diagonal(params: KorobovParams, tol: float = 1e-14) -> float:
     """K(x, x) = prod_j (1 + 2*sum_{h>=1} omega**(a_j*h**b_j)), x-free: one
-    plus :func:`nonzero_mass_upper`, rounded up, so within about tol above it."""
-    mass = nonzero_mass_upper(params.omega, a_values(params), b_values(params), tol)
+    plus the upper end of :func:`nonzero_mass`, rounded up, so within about
+    tol above it."""
+    mass = nonzero_mass(params.omega, a_values(params), b_values(params), tol).hi
     return math.nextafter(1.0 + mass, math.inf)
 
 
@@ -225,10 +226,8 @@ def kernel_eval(
         raise InvalidParameterError("term_undefined", "point dimension mismatch")
     av, bv = a_values(params), b_values(params)
 
-    # factors are below their ceilings, so these per-factor errors add up to tol
-    ceiling = log_product_ceiling([a * params.log_inv_omega for a in av], bv)
-    per_factor = tol / (2.0 * params.s) * math.exp(-ceiling)
-
+    # factors are below their ceilings, so the per-factor errors add up to at most tol
+    per_factor = _factor_tol(params.omega, av, bv, tol)
     product = 1.0
     for a, b, delta in zip(av, bv, (xv - yv).tolist()):
         terms, _, _ = weight_terms(params.omega, a, b, per_factor)

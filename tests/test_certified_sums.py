@@ -1,12 +1,15 @@
 """Certified sums against 40-digit mpmath references."""
 
 import math
+import random
+from fractions import Fraction
 
 import mpmath as mp
+import numpy as np
 import pytest
 
 from conftest import make_params
-from korobov._series import series_ceiling, weight_sum_upper
+from korobov._series import product_excess, series_ceiling, weight_sum
 from korobov.grids import RegularGrid, dual_weight_sum
 from korobov.integration import GridRule, worst_case_int_error
 from korobov.params import ExplicitFamily, ExponentialFamily, GeometricFamily, PowerFamily
@@ -81,10 +84,13 @@ def test_explicit_head_plus_power_tail_contains_exact_sum():
     "omega,a,b", [(0.5, 1.0, 1.0), (0.5, 2.0, 1.5), (0.9, 1.0, 1.0), (0.99, 1.0, 2.0), (0.1, 3.0, 4.0)]
 )
 def test_weight_sum_upper_is_a_tight_upper_value(omega, a, b):
-    upper = weight_sum_upper(omega, a, b, tol=1e-16)
+    bracket = weight_sum(omega, a, b, tol=1e-16)
+    upper = bracket.hi
     with mp.workdps(40):
         exact = mp.nsum(lambda h: mp.mpf(omega) ** (a * h**b), [1, mp.inf])
         assert exact <= mp.mpf(upper) <= exact * (1 + mp.mpf(1e-12))
+        # the lower end drops the tail, below tol, and subtracts the margins
+        assert exact * (1 - mp.mpf(1e-12)) - mp.mpf(1e-16) <= mp.mpf(bracket.lo) <= exact
 
 
 @pytest.mark.parametrize("m", [1, 3, 17, 124])
@@ -92,7 +98,7 @@ def test_weight_sum_upper_is_a_tight_upper_value(omega, a, b):
 def test_weight_sum_upper_covers_the_rounding_of_scaled_weights(omega, a, b, m):
     # the dual lattice's halved weights a * (m/2)**b are rounded before
     # the series sees them; the margin must cover that
-    upper = weight_sum_upper(omega, a * (m / 2.0) ** b, b, tol=1e-16)
+    upper = weight_sum(omega, a * (m / 2.0) ** b, b, tol=1e-16).hi
     with mp.workdps(40):
         exact = weight_series(omega, a, b, mp.mpf(m) / 2)
         assert exact <= mp.mpf(upper) <= exact * (1 + ROUNDING) + mp.mpf(1e-16)
@@ -164,3 +170,28 @@ def test_kernel_diagonal_is_a_tight_upper_value(omega, a, b, tol):
     with mp.workdps(40):
         exact = 1 + nonzero_mass(omega, a, b, [1] * len(a))
         assert exact <= mp.mpf(got) <= exact * (1 + ROUNDING) + tol
+
+
+def random_rhos(rng, s):
+    """s factors' rho: of order one, far below it, or near 1e-300."""
+    return [rng.choice((1.0, 1e-8, 1e-300)) * rng.uniform(0.1, 10.0) for _ in range(s)]
+
+
+@pytest.mark.parametrize("s", range(1, 9))
+def test_product_excess_is_relatively_accurate(s):
+    # prod_j (1 + rho_j) - 1 would cancel to 0 at rho near 1e-300; the
+    # recurrence keeps it within the (4 s + 4) u nonzero_mass widens by
+    rng = random.Random(s)
+    for _ in range(200):
+        rhos = random_rhos(rng, s)
+        exact = math.prod(1 + Fraction(r) for r in rhos) - 1
+        got = Fraction(product_excess(rhos))
+        assert abs(got - exact) <= (4 * s + 4) * Fraction(2) ** -53 * exact
+
+
+@pytest.mark.parametrize("s", [1, 3, 8])
+def test_product_excess_on_arrays_matches_one_call_per_element(s):
+    rng = random.Random(100 + s)
+    rows = [random_rhos(rng, s) for _ in range(50)]
+    columns = [np.array(column) for column in zip(*rows)]
+    assert product_excess(columns).tolist() == [product_excess(row) for row in rows]

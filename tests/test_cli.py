@@ -1,6 +1,13 @@
+import inspect
 import json
+import re
 
-from korobov.cli import main
+import pytest
+
+from korobov.cli import _build_parser, main
+from korobov.grids import DEFAULT_GRID_CAP
+from korobov.index_set import DEFAULT_SET_CAP
+from korobov.sampling import DEFAULT_COSET_CAP
 
 
 def write(tmp_path, name, obj):
@@ -194,3 +201,23 @@ def test_convergence_marks_capped_grids(tmp_path):
         "#fit,e_all,n/a,n/a,n/a",
         "#fit,e_std_exact,n/a,n/a,n/a",
     ]
+
+
+def test_each_subcommand_takes_the_caps_its_handler_reads():
+    # three caps on four subcommands: six of the twelve would do nothing
+    defaults = {"cap_n": DEFAULT_GRID_CAP, "cap_set": DEFAULT_SET_CAP, "coset_cap": DEFAULT_COSET_CAP}
+    flags = {"cap_n": "--cap-n", "cap_set": "--cap-set", "coset_cap": "--coset-cap"}
+    parser = _build_parser()
+    settable = 0
+    for command in ("analyze", "complexity", "convergence", "integrate"):
+        args = parser.parse_args([command, "--config", "cfg.json"])
+        read = set(re.findall(r"args\.(\w+)", inspect.getsource(args.handler))) & set(defaults)
+        assert {k: v for k, v in vars(args).items() if k in defaults} == {k: defaults[k] for k in read}
+        for dest, flag in flags.items():
+            if dest in read:
+                assert getattr(parser.parse_args([command, "--config", "c", flag, "7"]), dest) == 7
+            else:
+                with pytest.raises(SystemExit):
+                    parser.parse_args([command, "--config", "c", flag, "7"])
+        settable += len(read)
+    assert settable == 6

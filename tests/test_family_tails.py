@@ -171,6 +171,15 @@ def test_sup_index_past_the_float_range_of_the_guess(family, x):
     assert family.term(j) < x <= family.term(j + 1)
 
 
+def test_power_terms_past_the_float_range_stay_finite():
+    # 7 sqrt(j) < 1e300 up to j = 10**600 / 49, far past the largest
+    # float: the terms there are c exp(k log j), not inf
+    family = PowerFamily(7.0, 0.5)
+    j = family.sup_index_below(1e300)
+    assert family.term(j) < 1e300 <= family.term(j + 1)
+    assert abs(49 * j - 10**600) * 10**12 <= 10**600
+
+
 @pytest.mark.parametrize("guess", [1.0, 2.0**500, 1e300, 1e301, math.inf, math.nan])
 def test_sup_index_search_does_not_depend_on_the_guess(guess):
     # From far below, only doubling steps reach the boundary near 1e300.

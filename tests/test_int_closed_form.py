@@ -12,7 +12,7 @@ import mpmath as mp
 import pytest
 
 from conftest import make_params
-from korobov._series import nonzero_mass_lower, nonzero_mass_upper
+from korobov._series import nonzero_mass
 from korobov.grids import RegularGrid
 from korobov.integration import GridRule, worst_case_int_error
 
@@ -86,8 +86,8 @@ def test_trunc_x_and_cap_do_not_move_the_result(omega, av, bv, mesh):
 @pytest.mark.parametrize("omega,av,bv,mesh", CASES)
 def test_lower_and_upper_mass_bracket_the_product_form(omega, av, bv, mesh):
     scaled = [a * float(m) ** b for a, b, m in zip(av, bv, mesh)]
-    lower = nonzero_mass_lower(omega, scaled, bv)
-    upper = nonzero_mass_upper(omega, scaled, bv)
+    mass = nonzero_mass(omega, scaled, bv)
+    lower, upper = mass.lo, mass.hi
     total = exact_squared_error(omega, av, bv, mesh)
     with mp.workdps(40):
         assert 0 < mp.mpf(lower) <= total <= mp.mpf(upper)
