@@ -20,6 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .errors import InvalidParameterError
 from .index_set import _pow_term
 from .params import _U, Interval
 
@@ -42,7 +43,10 @@ def weight_terms(omega: float, a: float, b: float, tol: float) -> tuple[np.ndarr
     scaled ``a`` (a*m**b, a*(m/2)**b) 3 u more, so it is within
     10 u |exponent|; with exp, margin = (10 |exponent| + 10) u.  The tail
     formula repeats those errors for term H, covered by 3 margin + 16 u.
+    A ``tol`` that is not positive (or underflowed) raises before any term.
     """
+    if not tol > 0.0:
+        raise InvalidParameterError("term_undefined", f"series tolerance must be positive, got {tol}")
     log_w = math.log(omega)
     n = 64
     while True:

@@ -33,7 +33,7 @@ from .errors import CapExceeded, ConfigError, InvalidParameterError, KorobovErro
 from .grids import DEFAULT_GRID_CAP, RegularGrid
 from .index_set import DEFAULT_SET_CAP, count_below, count_product_bounds, exponent_budget
 from .integration import GridRule, small_n_lower_bound, worst_case_int_error
-from .params import KorobovParams, _read_json, load_params, params_from_config
+from .params import KorobovParams, _read_json, load_params, params_from_config, validate
 # exact_worst_case_error is not called here: the subcommands run the
 # oracle through _oracle_many.  The name stays importable from this module
 # because bench/tracer.py wraps korobov.cli.exact_worst_case_error.
@@ -90,18 +90,23 @@ def _params_of(config: dict, config_path: str) -> KorobovParams:
     )
 
 
-def _eps_list(config: dict, key: str = "eps") -> list[float]:
-    raw = config.get(key)
+def _number(value, path: str, above: float, below: float = math.inf, integer: bool = False):
+    """A finite config number strictly between ``above`` and ``below``, as
+    a float, or as an int when ``integer``; else ConfigError at ``path``."""
+    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
+        raise ConfigError(path, f"expected {'an integer' if integer else 'a number'}, got {value!r}")
+    if not (above < value < below and value <= sys.float_info.max):
+        raise ConfigError(path, f"expected a finite value in ({above:g}, {below:g}), got {value!r}")
+    return value if integer else float(value)
+
+
+def _eps_list(config: dict) -> list[float]:
+    raw = config.get("eps")
     if raw is None:
-        raise ConfigError(key, "missing required list of accuracies")
+        raise ConfigError("eps", "missing required list of accuracies")
     if not isinstance(raw, list) or not raw:
-        raise ConfigError(key, "expected a nonempty list")
-    out = []
-    for i, v in enumerate(raw):
-        if isinstance(v, bool) or not isinstance(v, (int, float)) or not (0.0 < v < 1.0):
-            raise ConfigError(f"{key}[{i}]", f"accuracies must lie in (0,1), got {v!r}")
-        out.append(float(v))
-    return out
+        raise ConfigError("eps", "expected a nonempty list")
+    return [_number(v, f"eps[{i}]", 0.0, 1.0) for i, v in enumerate(raw)]
 
 
 # ---------------------------------------------------------------------------
@@ -126,15 +131,21 @@ def _cmd_complexity(args) -> int:
     base = _params_of(config, args.config)
     eps_values = _eps_list(config)
     s_values = config.get("s_list", [base.s])
-    if not isinstance(s_values, list) or not all(isinstance(v, int) and v >= 1 for v in s_values):
+    if not isinstance(s_values, list):
         raise ConfigError("s_list", "expected a list of positive integers")
+    spaces = []
+    for i, v in enumerate(s_values):
+        s = _number(v, f"s_list[{i}]", 0, integer=True)
+        try:
+            spaces.append(validate(KorobovParams(omega=base.omega, a=base.a, b=base.b, s=s)))
+        except InvalidParameterError as exc:
+            raise ConfigError(f"s_list[{i}]", str(exc)) from exc
 
     lines = ["s,eps,n_all,lemma_lower,lemma_upper"]
-    for s in s_values:
-        params = KorobovParams(omega=base.omega, a=base.a, b=base.b, s=s)
+    for params in spaces:
         for eps in eps_values:
             x = exponent_budget(params.omega, eps)
-            cells: list = [s, eps]
+            cells: list = [params.s, eps]
             try:
                 lower, upper = count_product_bounds(params, x)
             except InvalidParameterError:
@@ -211,18 +222,16 @@ def _cmd_integrate(args) -> int:
     meshes = config.get("meshes")
     if not isinstance(meshes, list) or not meshes:
         raise ConfigError("meshes", "expected a nonempty list of mesh vectors")
-    m_value = config.get("M", 4.0)
-    if isinstance(m_value, bool) or not isinstance(m_value, (int, float)) or not m_value > 1:
-        raise ConfigError("M", f"expected a number > 1, got {m_value!r}")
+    m_value = _number(config.get("M", 4.0), "M", 1.0)
     grids = []
     for i, mesh in enumerate(meshes):
         if not isinstance(mesh, list) or len(mesh) != params.s:
             raise ConfigError(f"meshes[{i}]", f"expected a list of {params.s} mesh sizes")
-        grids.append(RegularGrid(tuple(int(m) for m in mesh)))
+        sizes = [_number(m, f"meshes[{i}][{j}]", 0, integer=True) for j, m in enumerate(mesh)]
+        grids.append(RegularGrid(tuple(sizes)))
 
-    m_value = float(m_value)
     threshold = math.log(m_value) / params.log_inv_omega  # the kept set's, fitting or not
-    trunc = config.get("trunc_x", default_truncation(threshold))
+    trunc = _number(config["trunc_x"], "trunc_x", 0.0) if "trunc_x" in config else default_truncation(threshold)
     ints = [worst_case_int_error(params, GridRule(grid), trunc) for grid in grids]
     # The kept set depends on M alone, so every mesh shares one.  Over
     # cap_set it blanks only the oracle cells: the integration error and

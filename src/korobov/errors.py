@@ -34,17 +34,16 @@ class ConfigError(KorobovError, ValueError):
 
 
 class CapExceeded(KorobovError, RuntimeError):
-    """A configured size cap would be exceeded.
+    """A size cap would be exceeded; raised before the oversized object
+    is built.
 
-    ``needed`` carries the true size when it was cheap to determine,
-    otherwise ``None``.
+    ``limit`` is the cap and ``needed`` the true size: the grid size n
+    (``grids``, ``mesh_for_accuracy``), the count of an index set or a
+    dual-lattice window, or the largest dual-lattice coset.
     """
 
-    def __init__(self, what: str, limit: int, needed: int | None = None):
-        detail = f"{what} exceeds cap {limit}"
-        if needed is not None:
-            detail += f" (needed {needed})"
-        super().__init__(detail)
+    def __init__(self, what: str, limit: int, needed: int):
+        super().__init__(f"{what} exceeds cap {limit} (needed {needed})")
         self.what = what
         self.limit = limit
         self.needed = needed

@@ -9,8 +9,12 @@ the standard-information analysis rests on.
 
 Function values on a grid are computed by sum factorisation, one
 coordinate at a time, and held as one array of n complex values: at most
-16 MB at the default cap of 10**6 points.  Points themselves are never
-materialized; the sampled character sums stream them in blocks.
+16 MB at the cap of 10**6 points.  Points themselves are never
+materialized; the sampled character sums stream them in blocks.  A grid
+over the cap raises :class:`CapExceeded` with its true n, before any
+allocation, in :func:`grid_points` and where grid values are formed:
+every sampling call (:func:`sample_mean`, :func:`aliased_coefficients`,
+``integrate``, ``apply_algorithm`` ...) goes through that one check.
 """
 
 from __future__ import annotations
@@ -68,25 +72,29 @@ class RegularGrid:
         return math.prod(self.mesh)
 
 
-def grid_points(grid: RegularGrid, cap: int = DEFAULT_GRID_CAP) -> Iterator[tuple[float, ...]]:
+def _check_grid_size(grid: RegularGrid) -> None:
+    if grid.n > DEFAULT_GRID_CAP:
+        raise CapExceeded("grid size", DEFAULT_GRID_CAP, needed=grid.n)
+
+
+def grid_points(grid: RegularGrid) -> Iterator[tuple[float, ...]]:
     """All n points in row-major order of (k_1, ..., k_s)."""
-    if grid.n > cap:
-        raise CapExceeded("grid size", cap, needed=grid.n)
+    _check_grid_size(grid)
     mesh = grid.mesh
     for ks in itertools.product(*(range(m) for m in mesh)):
         yield tuple(k / m for k, m in zip(ks, mesh))
 
 
-def _point_blocks(grid: RegularGrid, block: int = _BLOCK) -> Iterator[np.ndarray]:
-    """Row-major points as (<=block, s) float arrays, decoded from linear
+def _point_blocks(grid: RegularGrid) -> Iterator[np.ndarray]:
+    """Row-major points as (<=_BLOCK, s) float arrays, decoded from linear
     indices so the full grid never lives in memory."""
     mesh = np.array(grid.mesh, dtype=np.int64)
     strides = np.ones(grid.s, dtype=np.int64)
     for j in range(grid.s - 2, -1, -1):
         strides[j] = strides[j + 1] * mesh[j + 1]
     n = grid.n
-    for start in range(0, n, block):
-        idx = np.arange(start, min(start + block, n), dtype=np.int64)
+    for start in range(0, n, _BLOCK):
+        idx = np.arange(start, min(start + _BLOCK, n), dtype=np.int64)
         ks = (idx[:, None] // strides[None, :]) % mesh[None, :]
         yield ks.astype(float) / mesh.astype(float)[None, :]
 
@@ -162,6 +170,7 @@ def _grid_values(grid: RegularGrid, f: FourierPolynomial) -> np.ndarray:
     consecutive chunks, so besides the n values at most a few n-sized
     arrays are alive, whatever |supp f|.
     """
+    _check_grid_size(grid)
     keys = sorted(f.coefficients)
     if not keys:
         return np.zeros(grid.n, dtype=complex)
@@ -182,25 +191,18 @@ def _grid_values(grid: RegularGrid, f: FourierPolynomial) -> np.ndarray:
     return values
 
 
-def sample_mean(grid: RegularGrid, f: FourierPolynomial, cap: int = DEFAULT_GRID_CAP) -> complex:
+def sample_mean(grid: RegularGrid, f: FourierPolynomial) -> complex:
     """(1/n) sum_k f(x_k): the mean of f's n values on the grid."""
-    if grid.n > cap:
-        raise CapExceeded("grid size", cap, needed=grid.n)
     return complex(_grid_values(grid, f).mean())
 
 
 def aliased_coefficients(
-    grid: RegularGrid,
-    f: FourierPolynomial,
-    hs: Sequence[Sequence[int]],
-    cap: int = DEFAULT_GRID_CAP,
+    grid: RegularGrid, f: FourierPolynomial, hs: Sequence[Sequence[int]]
 ) -> np.ndarray:
     """Sampled Fourier coefficients (1/n) sum_k f(x_k) e^{-2 pi i h.x_k}
     for every h in ``hs``, computed by actually summing over the grid."""
-    if grid.n > cap:
-        raise CapExceeded("grid size", cap, needed=grid.n)
-    H = np.asarray(hs, dtype=float).reshape(len(hs), grid.s)
     values = _grid_values(grid, f)
+    H = np.asarray(hs, dtype=float).reshape(len(hs), grid.s)
     out = np.zeros(len(hs), dtype=complex)
     start = 0
     for pts in _point_blocks(grid):
@@ -210,19 +212,14 @@ def aliased_coefficients(
     return out / grid.n
 
 
-def aliased_coefficient(
-    grid: RegularGrid,
-    f: FourierPolynomial,
-    h: Sequence[int],
-    cap: int = DEFAULT_GRID_CAP,
-) -> complex:
+def aliased_coefficient(grid: RegularGrid, f: FourierPolynomial, h: Sequence[int]) -> complex:
     """Sampled coefficient at a single frequency.
 
     For finitely supported f this equals the sum of true coefficients
     over the coset h + dual lattice; ``dual_coset_sum`` computes that
     side independently.
     """
-    return complex(aliased_coefficients(grid, f, [tuple(h)], cap=cap)[0])
+    return complex(aliased_coefficients(grid, f, [tuple(h)])[0])
 
 
 def dual_coset_sum(grid: RegularGrid, f: FourierPolynomial, h: Sequence[int]) -> complex:
@@ -243,15 +240,13 @@ def dual_coset_sum(grid: RegularGrid, f: FourierPolynomial, h: Sequence[int]) ->
     return total
 
 
-def quadrature_residual(
-    grid: RegularGrid, f: FourierPolynomial, cap: int = DEFAULT_GRID_CAP
-) -> complex:
+def quadrature_residual(grid: RegularGrid, f: FourierPolynomial) -> complex:
     """Integral minus sample mean.
 
     For finitely supported f this equals minus the sum of coefficients
     over the nonzero dual lattice; both sides are exact character sums.
     """
-    return f.mean() - sample_mean(grid, f, cap=cap)
+    return f.mean() - sample_mean(grid, f)
 
 
 def dual_weight_sum(params: KorobovParams, grid: RegularGrid, tol: float = 1e-14) -> float:

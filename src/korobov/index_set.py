@@ -295,7 +295,8 @@ def count_product_bounds(
     """Closed-form sandwich for the exact count.
 
     ``lower <= count_below(params, x) <= upper`` where both sides are
-    products of per-coordinate odd interval sizes.  The split weights
+    products of per-coordinate odd interval sizes over the j <= s with
+    a_j < x, read from a_1..a_s alone.  The split weights
     ``alphas`` default to alpha_j = (j-1)/j, which turns the lower bound
     into the product over 2*ceil((x/(a_j*s))**(1/b_j)) - 1.
     """
@@ -316,8 +317,7 @@ def count_product_bounds(
         if any(not (0.0 <= v <= 1.0) for v in alpha):
             raise InvalidParameterError("term_undefined", "split weights must lie in [0,1]")
 
-    j_active = last_active_coordinate(params, x)
-    top = min(s, j_active)  # j_active is an int, possibly past the float range, or inf
+    top = sum(1 for a in av if a < x)  # min(s, last active coordinate) for monotone a
 
     lower = 1.0
     upper = 1.0

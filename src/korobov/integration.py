@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from ._series import nonzero_mass
 from .errors import CapExceeded, InvalidParameterError
-from .grids import DEFAULT_GRID_CAP, RegularGrid, sample_mean
+from .grids import RegularGrid, sample_mean
 from .index_set import DEFAULT_SET_CAP, _count, _enumerate
 from .params import KorobovParams, a_values, b_values
 from .space import FourierPolynomial
@@ -49,9 +49,10 @@ class GridRule:
         return 1.0 / self.grid.n
 
 
-def integrate(rule: GridRule, f: FourierPolynomial, cap_n: int = DEFAULT_GRID_CAP) -> complex:
-    """Apply the rule: the mean of f over the grid points."""
-    return sample_mean(rule.grid, f, cap=cap_n)
+def integrate(rule: GridRule, f: FourierPolynomial) -> complex:
+    """Apply the rule: the mean of f over the grid points.  A grid over
+    ``DEFAULT_GRID_CAP`` points raises :class:`CapExceeded`."""
+    return sample_mean(rule.grid, f)
 
 
 def _scaled_weights(params: KorobovParams, grid: RegularGrid) -> list[float]:
@@ -61,24 +62,23 @@ def _scaled_weights(params: KorobovParams, grid: RegularGrid) -> list[float]:
 
 
 def _dual_window(
-    params: KorobovParams, grid: RegularGrid, trunc_x: float, cap: int
+    params: KorobovParams, grid: RegularGrid, trunc_x: float
 ) -> list[tuple[float, tuple[int, ...]]]:
     """(exponent, k) for the nonzero dual points below trunc_x, enumerated
-    on the rescaled weights: the counting machinery applies unchanged."""
+    on the rescaled weights: the counting machinery applies unchanged.
+    A window over ``DEFAULT_SET_CAP`` points raises :class:`CapExceeded`."""
     scaled, bv = _scaled_weights(params, grid), b_values(params)
     total = _count(scaled, bv, trunc_x)
-    if total > cap:
-        raise CapExceeded("dual lattice window", cap, needed=total)
+    if total > DEFAULT_SET_CAP:
+        raise CapExceeded("dual lattice window", DEFAULT_SET_CAP, needed=total)
     return [(e, k) for e, k in _enumerate(scaled, bv, trunc_x) if any(k)]
 
 
-def worst_case_int_error(
-    params: KorobovParams,
-    rule: GridRule,
-    trunc_x: float,
-    cap: int = DEFAULT_SET_CAP,
-    tol: float = 1e-14,
-) -> "IntErrorResult":
+# Tolerance of the closed-form bracket, relative to the mass.
+_INT_TOL = 1e-14
+
+
+def worst_case_int_error(params: KorobovParams, rule: GridRule, trunc_x: float) -> "IntErrorResult":
     """Worst-case integration error of the rule over the unit ball.
 
     The dual lattice of a product grid is a product, so the squared error,
@@ -88,9 +88,9 @@ def worst_case_int_error(
     :func:`nonzero_mass`: ``value`` is the square root of its lower end,
     rounded down, and ``tail_sq`` the gap up to its upper end, rounded up:
     the terms' rounding margins and the dropped series tails, within
-    ``tol`` relative to the mass (taken relative to its leading term).
-    ``trunc_x`` must be positive and ``cap`` is accepted, but neither
-    changes the result: the whole dual lattice is summed.
+    ``_INT_TOL`` relative to the mass (taken relative to its leading term).
+    The whole dual lattice is summed, so no cap applies and ``trunc_x``,
+    which must be positive, does not change the result.
     """
     if not trunc_x > 0.0:
         raise InvalidParameterError("term_undefined", f"trunc_x must be positive, got {trunc_x}")
@@ -100,7 +100,7 @@ def worst_case_int_error(
     scaled = _scaled_weights(params, rule.grid)
     # the mass is at least its leading term 2 omega**min(scaled): a tol
     # relative to that keeps the dropped tails a rounding width of it
-    tol *= min(1.0, max(2.0 * params.omega ** min(scaled), 1e-290))
+    tol = _INT_TOL * min(1.0, max(2.0 * params.omega ** min(scaled), 1e-290))
     mass = nonzero_mass(params.omega, scaled, bv, tol)
     value = math.nextafter(math.sqrt(mass.lo), 0.0)
     # value**2 is rounded down before the subtraction, so the gap covers it
@@ -125,12 +125,10 @@ class IntErrorResult:
         return self.upper - self.value
 
 
-def extremal_integrand(
-    params: KorobovParams, rule: GridRule, trunc_x: float, cap: int = DEFAULT_SET_CAP
-) -> FourierPolynomial:
+def extremal_integrand(params: KorobovParams, rule: GridRule, trunc_x: float) -> FourierPolynomial:
     """Unit-ball element attaining the truncated worst-case error:
     coefficients proportional to the dual-lattice weights."""
-    window = _dual_window(params, rule.grid, trunc_x, cap)
+    window = _dual_window(params, rule.grid, trunc_x)
     if not window:
         raise InvalidParameterError("term_undefined", "no dual-lattice point below trunc_x")
     log_w = -params.log_inv_omega

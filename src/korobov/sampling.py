@@ -100,21 +100,20 @@ def build_std_algorithm(
     return StdAlgorithm(params=params, M=float(M), grid=grid, index_set=index_set)
 
 
-def apply_algorithm(
-    alg: StdAlgorithm, f: FourierPolynomial, cap_n: int = DEFAULT_GRID_CAP
-) -> FourierPolynomial:
+def apply_algorithm(alg: StdAlgorithm, f: FourierPolynomial) -> FourierPolynomial:
     """Run the algorithm on f: sample on the grid, keep the set A.
 
     The output is supported on A with each coefficient equal to the
     sampled character sum; function values are actually summed, the
-    dual-lattice shortcut is reserved for tests.
+    dual-lattice shortcut is reserved for tests.  A grid over
+    ``DEFAULT_GRID_CAP`` points raises :class:`CapExceeded`.
     """
     if f.params != alg.params:
         raise InvalidParameterError("term_undefined", "function belongs to a different space")
     members = alg.index_set.members
     if not members:
         return FourierPolynomial(alg.params, {})
-    values = aliased_coefficients(alg.grid, f, members, cap=cap_n)
+    values = aliased_coefficients(alg.grid, f, members)
     return FourierPolynomial(alg.params, dict(zip(members, values)))
 
 
@@ -131,7 +130,12 @@ def _damping_factor(params: KorobovParams) -> float:
     return product
 
 
-def error_upper_bound(alg: StdAlgorithm, tol: float = 1e-14) -> float:
+# Tolerances of F in error_upper_bound and of each coset rest in gen_error_bound.
+_CEILING_TOL = 1e-14
+_GEN_TOL = 1e-13
+
+
+def error_upper_bound(alg: StdAlgorithm) -> float:
     """Closed-form ceiling sqrt(1/M + M**(B_s+1) * D * F) on the worst-case
     error, with F the halved-exponent weight sum over the nonzero dual
     lattice (certified, :func:`dual_weight_sum`), rounded up: B_s + 1 is
@@ -139,14 +143,14 @@ def error_upper_bound(alg: StdAlgorithm, tol: float = 1e-14) -> float:
     each factor of D within (|log log(1/omega)| + 6) u."""
     params, s = alg.params, alg.params.s
     b_sum = _b_sum(params)
-    f_sum = dual_weight_sum(params, alg.grid, tol=tol)
+    f_sum = dual_weight_sum(params, alg.grid, tol=_CEILING_TOL)
     radicand = 1.0 / alg.M + alg.M ** (b_sum + 1.0) * _damping_factor(params) * f_sum
     log_m, log_log = abs(math.log(alg.M)), abs(math.log(params.log_inv_omega))
     widen = ((2.0 * s + 1.0) * (b_sum + 1.0) * log_m + s * (log_log + 6.0) + 8.0) * _U
     return math.nextafter(math.sqrt(radicand * (1.0 + widen)), math.inf)
 
 
-def gen_error_bound(alg: StdAlgorithm, tol: float = 1e-13) -> float:
+def gen_error_bound(alg: StdAlgorithm) -> float:
     """Sharper ceiling sqrt(1/M + sum_{h in A} aliasing weight of h).
 
     The aliasing weight of h is the sum over the nonzero dual lattice of
@@ -156,7 +160,7 @@ def gen_error_bound(alg: StdAlgorithm, tol: float = 1e-13) -> float:
     subtraction, as omega**E(h) times the :func:`_series.product_excess`
     of the rho_j = rest_j / own_j, run over the columns of every member
     at once, so rounding stays relative to each term.  Each rest_j is a
-    certified upper value within relative ``tol`` and each rho_j, one per
+    certified upper value within relative ``_GEN_TOL`` and each rho_j, one per
     coordinate and |h_j|, is rounded up.  The radicand is widened by the
     rounding of the sum (|A| u of it), of each member's weight (its
     exponent, below log M, carries (s+6)u of itself) and of the products
@@ -169,7 +173,7 @@ def gen_error_bound(alg: StdAlgorithm, tol: float = 1e-13) -> float:
     def rho(j: int, hj: int) -> float:
         arg = _pow_term(av[j], hj, bv[j]) * log_w
         widen = (6.0 * abs(arg) + 5.0) * _U
-        rest = coset_sum_upper(log_w, av[j], bv[j], alg.grid.mesh[j], hj, tol)
+        rest = coset_sum_upper(log_w, av[j], bv[j], alg.grid.mesh[j], hj, _GEN_TOL)
         return math.nextafter(rest / math.exp(arg) * (1.0 + widen), math.inf)
 
     columns = []
@@ -282,19 +286,14 @@ def mesh_for_threshold(params: KorobovParams, M: float, beta: float) -> RegularG
     return RegularGrid(tuple(mesh))
 
 
-def threshold_algorithm(
-    params: KorobovParams,
-    M: float,
-    beta: float,
-    cap_set: int = DEFAULT_SET_CAP,
-) -> StdAlgorithm:
+def threshold_algorithm(params: KorobovParams, M: float, beta: float) -> StdAlgorithm:
     """Std algorithm with the odd weight-adapted mesh for threshold M.
 
     Asserts the geometric fact the rule is designed around: every kept
     frequency satisfies |h_j| < (m_j + 1)/2 in every coordinate.
     """
     grid = mesh_for_threshold(params, M, beta)
-    alg = build_std_algorithm(params, M, grid, cap_set=cap_set)
+    alg = build_std_algorithm(params, M, grid)
     av, bv = a_values(params), b_values(params)
     for j, m in enumerate(grid.mesh):
         reach = _reach(av[j], bv[j], 0.0, alg.threshold)
@@ -306,15 +305,10 @@ def threshold_algorithm(
     return alg
 
 
-def accuracy_algorithm(
-    params: KorobovParams,
-    eps: float,
-    cap_n: int = DEFAULT_GRID_CAP,
-    cap_set: int = DEFAULT_SET_CAP,
-) -> StdAlgorithm:
+def accuracy_algorithm(params: KorobovParams, eps: float) -> StdAlgorithm:
     """Std algorithm from the accuracy mesh rule at target eps."""
-    choice = mesh_for_accuracy(params, eps, cap_n=cap_n)
-    return build_std_algorithm(params, choice.M, choice.grid, cap_set=cap_set)
+    choice = mesh_for_accuracy(params, eps)
+    return build_std_algorithm(params, choice.M, choice.grid)
 
 
 # ---------------------------------------------------------------------------
@@ -547,12 +541,14 @@ def _top_sq_brackets(
     return lo, hi
 
 
+_ORACLE_TOL = 1e-13  # of the space's nonzero mass, which bounds the oracle's tail
+
+
 def exact_worst_case_error(
     alg: StdAlgorithm,
     trunc_x: float | None = None,
     cap_set: int = DEFAULT_SET_CAP,
     coset_cap: int = DEFAULT_COSET_CAP,
-    tol: float = 1e-13,
 ) -> OracleResult:
     """Worst-case L2 error of the algorithm over the unit ball, exactly on
     the subspace of frequencies with exponent below trunc_x.
@@ -585,7 +581,7 @@ def exact_worst_case_error(
     """
     if trunc_x is None:
         trunc_x = default_truncation(alg.threshold)
-    (result,) = _oracle_many([(alg, trunc_x)], cap_set, coset_cap, tol)
+    (result,) = _oracle_many([(alg, trunc_x)], cap_set, coset_cap)
     if isinstance(result, CapExceeded):
         raise result
     return result
@@ -595,7 +591,6 @@ def _oracle_many(
     jobs: Sequence[tuple[StdAlgorithm, float]],
     cap_set: int = DEFAULT_SET_CAP,
     coset_cap: int = DEFAULT_COSET_CAP,
-    tol: float = 1e-13,
 ) -> list[OracleResult | CapExceeded]:
     """:func:`exact_worst_case_error` of each (algorithm, trunc_x) job over
     one space, with every coset of every job bracketed in one
@@ -649,7 +644,7 @@ def _oracle_many(
             continue
         if trunc_x not in masses:
             if total is None:
-                total = nonzero_mass(params.omega, a_values(params), b_values(params), tol).hi
+                total = nonzero_mass(params.omega, a_values(params), b_values(params), _ORACLE_TOL).hi
             # math.fsum is exactly rounded, so walk order sums like any other
             masses[trunc_x] = beyond_window_mass(
                 params.omega, a_values(params), b_values(params), trunc_x,
@@ -686,43 +681,34 @@ def _oracle_many(
 
 @dataclass(frozen=True)
 class ErrorReport:
-    """Closed-form ceiling and, when computed, the oracle value.
+    """Closed-form ceiling and the oracle's value and slack.
 
     The oracle can exceed the ceiling only through slack and rounding;
     a violation beyond 1e-9 means a genuine bug.
     """
 
     upper_bound: float
-    exact: float | None
+    exact: float
     exact_slack: float
     n_points: int
     set_size: int
 
     def __post_init__(self):
-        if self.exact is not None and not self.exact <= self.upper_bound + 1e-9:
+        if not self.exact <= self.upper_bound + 1e-9:
             raise ValueError(
                 f"oracle value {self.exact} exceeds the certified ceiling {self.upper_bound}"
             )
 
 
-def error_report(
-    alg: StdAlgorithm,
-    trunc_x: float | None = None,
-    with_oracle: bool = True,
-    cap_set: int = DEFAULT_SET_CAP,
-    coset_cap: int = DEFAULT_COSET_CAP,
-) -> ErrorReport:
+def error_report(alg: StdAlgorithm, trunc_x: float | None = None) -> ErrorReport:
+    """:func:`error_upper_bound` beside :func:`exact_worst_case_error` at the
+    default caps: a window or coset over them raises :class:`CapExceeded`."""
     bound = error_upper_bound(alg)
-    exact = None
-    slack = 0.0
-    if with_oracle:
-        oracle = exact_worst_case_error(alg, trunc_x, cap_set=cap_set, coset_cap=coset_cap)
-        exact = oracle.value
-        slack = oracle.slack
+    oracle = exact_worst_case_error(alg, trunc_x)
     return ErrorReport(
         upper_bound=bound,
-        exact=exact,
-        exact_slack=slack,
+        exact=oracle.value,
+        exact_slack=oracle.slack,
         n_points=alg.grid.n,
         set_size=alg.index_set.count,
     )

@@ -218,8 +218,6 @@ def kernel_eval(
     truncating each factor once its certified geometric tail contributes
     less than ``tol`` to the product.  Points are taken mod 1.
     """
-    if not tol > 0.0:
-        raise InvalidParameterError("term_undefined", f"tol must be positive, got {tol}")
     xv = np.asarray(x, dtype=float).reshape(-1) % 1.0
     yv = np.asarray(y, dtype=float).reshape(-1) % 1.0
     if xv.shape[0] != params.s or yv.shape[0] != params.s:

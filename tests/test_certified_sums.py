@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import mpmath as mp
@@ -12,8 +13,9 @@ from conftest import make_params
 from korobov._series import product_excess, series_ceiling, weight_sum
 from korobov.grids import RegularGrid, dual_weight_sum
 from korobov.integration import GridRule, worst_case_int_error
+from korobov.errors import InvalidParameterError
 from korobov.params import ExplicitFamily, ExponentialFamily, GeometricFamily, PowerFamily
-from korobov.space import kernel_diagonal
+from korobov.space import kernel_diagonal, kernel_eval
 
 # Certified upper values sit above the exact value by at most their
 # tolerance plus their rounding margins, a few hundred units of 2**-53
@@ -195,3 +197,26 @@ def test_product_excess_on_arrays_matches_one_call_per_element(s):
     rows = [random_rhos(rng, s) for _ in range(50)]
     columns = [np.array(column) for column in zip(*rows)]
     assert product_excess(columns).tolist() == [product_excess(row) for row in rows]
+
+
+SERIES_CALLS = {
+    "kernel_diagonal": lambda params, tol: kernel_diagonal(params, tol=tol),
+    "dual_weight_sum": lambda params, tol: dual_weight_sum(params, RegularGrid((3, 2)), tol=tol),
+    "kernel_eval": lambda params, tol: kernel_eval(params, [0.1, 0.2], [0.3, 0.7], tol=tol),
+}
+
+
+# 5e-324 is positive, but each factor's share of it is zero
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, 5e-324])
+@pytest.mark.parametrize("call", SERIES_CALLS)
+def test_a_tolerance_that_is_not_positive_raises_before_any_term(call, tol):
+    params = make_params(0.5, (1, 2), (1, 1))
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidParameterError) as err:
+            SERIES_CALLS[call](params, tol)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert err.value.code == "term_undefined"
+    assert peak < 2**20

@@ -221,3 +221,40 @@ def test_each_subcommand_takes_the_caps_its_handler_reads():
                     parser.parse_args([command, "--config", "c", flag, "7"])
         settable += len(read)
     assert settable == 6
+
+
+@pytest.mark.parametrize(
+    "command,key,token,path",
+    [
+        ("integrate", "trunc_x", '"abc"', "trunc_x"),
+        ("integrate", "trunc_x", "null", "trunc_x"),
+        ("integrate", "trunc_x", "[1]", "trunc_x"),
+        ("integrate", "trunc_x", "1e999", "trunc_x"),
+        ("integrate", "trunc_x", "true", "trunc_x"),
+        ("integrate", "M", "1e999", "M"),
+        ("integrate", "meshes", '"a"', "meshes[0][1]"),
+        ("integrate", "meshes", "2.7", "meshes[0][1]"),
+        ("integrate", "meshes", "true", "meshes[0][1]"),
+        ("complexity", "s_list", "true", "s_list[0]"),
+        ("complexity", "eps", "1e999", "eps[0]"),
+    ],
+)
+def test_bad_config_numbers_exit_one_with_one_error_line(tmp_path, capsys, command, key, token, path):
+    config = dict(BASE, eps=[0.1], s_list=[1], M=4.0, trunc_x=40.0, meshes=[[2, 3]])
+    config[key] = {"meshes": [[2, "@"]], "s_list": ["@"], "eps": ["@"]}.get(key, "@")
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(config).replace('"@"', token))
+    out = tmp_path / "out.csv"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_complexity_validates_the_space_at_every_dimension(tmp_path, capsys):
+    a = {"family": "explicit", "values": [1, 3, 2], "tail": "repeat"}
+    cfg = write(tmp_path, "m.json", dict(BASE, a=a, eps=[0.1], s_list=[2, 3]))
+    out = tmp_path / "m.csv"
+    assert main(["complexity", "--config", cfg, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: s_list[1]: a_3 = 2.0 < a_2 = 3.0\n"
+    assert not out.exists()

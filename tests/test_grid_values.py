@@ -13,19 +13,25 @@ import tracemalloc
 
 import hypothesis.strategies as st
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 
 from conftest import make_params
+from korobov.errors import CapExceeded
 from korobov.grids import (
+    DEFAULT_GRID_CAP,
     RegularGrid,
     _grid_values,
+    aliased_coefficient,
     aliased_coefficients,
     dual_coset_sum,
     grid_points,
+    quadrature_residual,
     sample_mean,
 )
 from korobov.index_set import enumerate_below
 from korobov.integration import GridRule, integrate
+from korobov.sampling import apply_algorithm, build_std_algorithm
 from korobov.space import FourierPolynomial, evaluate_many, random_unit_ball
 
 PARAMS = {s: make_params(0.5, (1.0,) * s, (1.0,) * s) for s in (1, 2, 3)}
@@ -106,3 +112,29 @@ def test_memory_stays_within_a_few_grid_arrays():
         abs(c) for c in f.coefficients.values()
     )
 
+
+
+OVER_CAP = RegularGrid((1001, 1000))
+F2 = FourierPolynomial(PARAMS[2], {(0, 0): 1.0, (3, -2): 0.5j})
+SAMPLING_CALLS = {
+    "grid_points": lambda: list(grid_points(OVER_CAP)),
+    "sample_mean": lambda: sample_mean(OVER_CAP, F2),
+    "aliased_coefficients": lambda: aliased_coefficients(OVER_CAP, F2, [(0, 0), (1, 2)]),
+    "aliased_coefficient": lambda: aliased_coefficient(OVER_CAP, F2, (1, 2)),
+    "quadrature_residual": lambda: quadrature_residual(OVER_CAP, F2),
+    "integrate": lambda: integrate(GridRule(OVER_CAP), F2),
+    "apply_algorithm": lambda: apply_algorithm(build_std_algorithm(PARAMS[2], 4.0, OVER_CAP), F2),
+}
+
+
+@pytest.mark.parametrize("call", SAMPLING_CALLS)
+def test_every_sampling_call_refuses_an_over_cap_grid_before_allocating(call):
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceeded) as err:
+            SAMPLING_CALLS[call]()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (err.value.what, err.value.limit, err.value.needed) == ("grid size", DEFAULT_GRID_CAP, 1_001_000)
+    assert peak < 2**20
