@@ -15,12 +15,9 @@ from .errors import (
 )
 from .grids import (
     RegularGrid,
-    aliased_coefficient,
     dual_coset_sum,
     dual_weight_sum,
     grid_points,
-    in_dual,
-    quadrature_residual,
 )
 from .index_set import (
     IndexSet,
@@ -34,7 +31,6 @@ from .index_set import (
 )
 from .integration import (
     GridRule,
-    induced_rule,
     integrate,
     small_n_lower_bound,
     worst_case_int_error,
@@ -54,12 +50,10 @@ from .params import (
     validate,
 )
 from .sampling import (
-    ErrorReport,
     StdAlgorithm,
     accuracy_algorithm,
     apply_algorithm,
     build_std_algorithm,
-    error_report,
     error_upper_bound,
     exact_worst_case_error,
     gen_error_bound,

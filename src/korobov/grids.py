@@ -5,7 +5,8 @@ m_j points (k_1/m_1, ..., k_s/m_s).  Its dual lattice is the set of
 frequencies divisible coordinatewise by the mesh sizes; sampling a
 Fourier coefficient on the grid returns the sum of true coefficients
 over a dual-lattice coset, which is the single identity everything in
-the standard-information analysis rests on.
+the standard-information analysis rests on: :func:`aliased_coefficients`
+samples the coefficient, :func:`dual_coset_sum` sums the coset directly.
 
 Function values on a grid are computed by sum factorisation, one
 coordinate at a time, and held as one array of n complex values: at most
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -36,12 +38,9 @@ __all__ = [
     "DEFAULT_GRID_CAP",
     "RegularGrid",
     "grid_points",
-    "in_dual",
     "sample_mean",
-    "aliased_coefficient",
     "aliased_coefficients",
     "dual_coset_sum",
-    "quadrature_residual",
     "dual_weight_sum",
 ]
 
@@ -51,17 +50,22 @@ _BLOCK = 4096
 
 @dataclass(frozen=True)
 class RegularGrid:
-    """Product grid with mesh sizes m_1..m_s; n = prod m_j points."""
+    """Product grid with mesh sizes m_1..m_s; n = prod m_j points.
+
+    Each size is an integer (numpy integers included, bools not) of at
+    least 1; anything else raises rather than being rounded."""
 
     mesh: tuple[int, ...]
 
     def __post_init__(self):
-        mesh = tuple(int(m) for m in self.mesh)
-        if not mesh or any(m < 1 for m in mesh):
+        mesh = tuple(self.mesh)
+        if not mesh or not all(
+            isinstance(m, numbers.Integral) and not isinstance(m, bool) and m >= 1 for m in mesh
+        ):
             raise InvalidParameterError(
                 "term_undefined", f"mesh sizes must be positive integers, got {self.mesh!r}"
             )
-        object.__setattr__(self, "mesh", mesh)
+        object.__setattr__(self, "mesh", tuple(int(m) for m in mesh))
 
     @property
     def s(self) -> int:
@@ -97,15 +101,6 @@ def _point_blocks(grid: RegularGrid) -> Iterator[np.ndarray]:
         idx = np.arange(start, min(start + _BLOCK, n), dtype=np.int64)
         ks = (idx[:, None] // strides[None, :]) % mesh[None, :]
         yield ks.astype(float) / mesh.astype(float)[None, :]
-
-
-def in_dual(grid: RegularGrid, h: Sequence[int]) -> bool:
-    """True when every component of h is divisible by its mesh size."""
-    if len(h) != grid.s:
-        raise InvalidParameterError(
-            "term_undefined", f"frequency has length {len(h)}, expected {grid.s}"
-        )
-    return all(int(hj) % m == 0 for hj, m in zip(h, grid.mesh))
 
 
 def _phase_table(residues: np.ndarray, m: int) -> np.ndarray:
@@ -212,41 +207,24 @@ def aliased_coefficients(
     return out / grid.n
 
 
-def aliased_coefficient(grid: RegularGrid, f: FourierPolynomial, h: Sequence[int]) -> complex:
-    """Sampled coefficient at a single frequency.
-
-    For finitely supported f this equals the sum of true coefficients
-    over the coset h + dual lattice; ``dual_coset_sum`` computes that
-    side independently.
-    """
-    return complex(aliased_coefficients(grid, f, [tuple(h)])[0])
-
-
 def dual_coset_sum(grid: RegularGrid, f: FourierPolynomial, h: Sequence[int]) -> complex:
     """sum of f's coefficients over {g : g congruent to h mod mesh}.
 
-    Pure support arithmetic; no sampling.  Residues use mathematical mod
-    so negative components land in canonical cosets.
+    Pure support arithmetic; no sampling.  For finitely supported f it
+    equals the sampled coefficient at h from :func:`aliased_coefficients`:
+    it is the aliasing identity's independent side.  Residues use
+    mathematical mod so negative components land in canonical cosets.
     """
-    target = tuple(int(hj) % m for hj, m in zip(h, grid.mesh))
-    if len(target) != grid.s:
+    if len(h) != grid.s:
         raise InvalidParameterError(
             "term_undefined", f"frequency has length {len(h)}, expected {grid.s}"
         )
+    target = tuple(int(hj) % m for hj, m in zip(h, grid.mesh))
     total = 0j
     for g, c in f.coefficients.items():
         if tuple(gj % m for gj, m in zip(g, grid.mesh)) == target:
             total += c
     return total
-
-
-def quadrature_residual(grid: RegularGrid, f: FourierPolynomial) -> complex:
-    """Integral minus sample mean.
-
-    For finitely supported f this equals minus the sum of coefficients
-    over the nonzero dual lattice; both sides are exact character sums.
-    """
-    return f.mean() - sample_mean(grid, f)
 
 
 def dual_weight_sum(params: KorobovParams, grid: RegularGrid, tol: float = 1e-14) -> float:

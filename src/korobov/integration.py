@@ -7,8 +7,9 @@ nonzero dual lattice, attained by the element proportional to those
 weights.  That lattice is a product over coordinates, so the mass has
 an exact product form, bracketed in closed form by ``_series``.  Any
 sampling approximation algorithm induces an integration rule whose
-error it dominates; for the grid algorithm the induced rule is the
-uniform grid rule itself.
+error it dominates.  Integrating the grid algorithm's output gives each
+sample the weight (1/n) * [0 kept], and its kept set always contains 0
+(its threshold is positive), so the induced rule is ``GridRule(alg.grid)``.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ __all__ = [
     "integrate",
     "worst_case_int_error",
     "extremal_integrand",
-    "induced_rule",
     "small_n_lower_bound",
 ]
 
@@ -136,20 +136,6 @@ def extremal_integrand(params: KorobovParams, rule: GridRule, trunc_x: float) ->
     weights = {tuple(kj * m for kj, m in zip(k, mesh)): math.exp(e * log_w) for e, k in window}
     scale = 1.0 / math.sqrt(sum(weights.values()))
     return FourierPolynomial(params, {l: w * scale for l, w in weights.items()})
-
-
-def induced_rule(alg) -> GridRule:
-    """Integration rule induced by a sampling approximation algorithm.
-
-    Integrating the algorithm's output gives each sample the weight
-    (1/n) * [0 kept], because only the constant mode has a nonzero
-    integral; the kept set always contains 0 (its threshold is positive),
-    so the induced rule is the uniform grid rule.
-    """
-    zero = (0,) * alg.params.s
-    if zero not in alg.index_set:
-        raise InvalidParameterError("term_undefined", "kept set does not contain the zero frequency")
-    return GridRule(alg.grid)
 
 
 def small_n_lower_bound(params: KorobovParams, n: int) -> float | None:

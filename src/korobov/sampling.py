@@ -42,7 +42,6 @@ from .space import FourierPolynomial
 
 __all__ = [
     "StdAlgorithm",
-    "ErrorReport",
     "OracleResult",
     "AccuracyMesh",
     "DEFAULT_COSET_CAP",
@@ -55,7 +54,6 @@ __all__ = [
     "threshold_algorithm",
     "accuracy_algorithm",
     "exact_worst_case_error",
-    "error_report",
 ]
 
 logger = logging.getLogger("korobov.sampling")
@@ -615,7 +613,7 @@ def _oracle_many(
                 f"truncation budget {trunc_x} must exceed the kept threshold {alg.threshold}",
             )
     results: list[OracleResult | CapExceeded | None] = [None] * len(jobs)
-    windows: dict[float, tuple[IndexSet, np.ndarray] | CapExceeded] = {}
+    windows: dict[float, tuple[IndexSet, np.ndarray, list[int]] | CapExceeded] = {}
     masses: dict[float, tuple[float, float]] = {}  # omega**trunc_x and the mass beyond
     total = None  # the nonzero mass, once some job reaches the bracket stage
     batch = []  # (job, trunc_x, weights, kept, ids, largest coset) to bracket
@@ -624,16 +622,21 @@ def _oracle_many(
         if trunc_x not in windows:
             try:
                 window = enumerate_below(params, trunc_x, cap=cap_set)
-                windows[trunc_x] = window, np.exp(window.walk_exponents * -params.log_inv_omega)
+                reach = np.abs(window.walk_members).max(axis=0, initial=0).tolist()
+                windows[trunc_x] = window, np.exp(window.walk_exponents * -params.log_inv_omega), reach
             except CapExceeded as exc:
                 windows[trunc_x] = exc
         if isinstance(windows[trunc_x], CapExceeded):
             results[i] = windows[trunc_x]
             continue
-        window, walk_weights = windows[trunc_x]
+        window, walk_weights, reach = windows[trunc_x]
 
-        # one key per residue column: a mixed-radix key can overflow int64
-        residues = window.walk_members % np.array(alg.grid.mesh, dtype=np.int64)
+        # one key per residue column: a mixed-radix key can overflow int64.
+        # A side m >= 2R + 1, R the window's largest |h_j|, maps [-R, R] one
+        # to one, non-negatives first, as 2R + 1 does: the same cosets in the
+        # same order, with every side within int64.
+        sides = [min(m, 2 * r + 1) for m, r in zip(alg.grid.mesh, reach)]
+        residues = window.walk_members % np.array(sides, dtype=np.int64)
         order = np.lexsort((window.walk_exponents, *residues.T[::-1]))
         residues = residues[order]
         exponents = window.walk_exponents[order]
@@ -677,38 +680,3 @@ def _oracle_many(
                 largest_coset=largest,
             )
     return results
-
-
-@dataclass(frozen=True)
-class ErrorReport:
-    """Closed-form ceiling and the oracle's value and slack.
-
-    The oracle can exceed the ceiling only through slack and rounding;
-    a violation beyond 1e-9 means a genuine bug.
-    """
-
-    upper_bound: float
-    exact: float
-    exact_slack: float
-    n_points: int
-    set_size: int
-
-    def __post_init__(self):
-        if not self.exact <= self.upper_bound + 1e-9:
-            raise ValueError(
-                f"oracle value {self.exact} exceeds the certified ceiling {self.upper_bound}"
-            )
-
-
-def error_report(alg: StdAlgorithm, trunc_x: float | None = None) -> ErrorReport:
-    """:func:`error_upper_bound` beside :func:`exact_worst_case_error` at the
-    default caps: a window or coset over them raises :class:`CapExceeded`."""
-    bound = error_upper_bound(alg)
-    oracle = exact_worst_case_error(alg, trunc_x)
-    return ErrorReport(
-        upper_bound=bound,
-        exact=oracle.value,
-        exact_slack=oracle.slack,
-        n_points=alg.grid.n,
-        set_size=alg.index_set.count,
-    )

@@ -1,7 +1,8 @@
 """The reproducing-kernel space itself: kernel, elements, norms.
 
 Space elements are handled as finitely supported Fourier polynomials,
-maps from frequency vectors to complex coefficients.  The Hilbert-space
+maps from frequency vectors to complex coefficients, built in memory:
+no subcommand reads one from a config.  The Hilbert-space
 inner product divides coefficient products by the frequency weight, so
 the normalized basis function at h is exp(2*pi*i*h.x) * weight(h)**0.5.
 """
@@ -15,7 +16,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from ._series import _factor_tol, nonzero_mass, weight_terms
-from .errors import ConfigError, InvalidParameterError
+from .errors import InvalidParameterError
 from .index_set import IndexSet, weight_exponent
 from .params import KorobovParams, a_values, b_values
 
@@ -29,8 +30,7 @@ __all__ = [
     "inner",
     "random_unit_ball",
     "basis_function",
-    "poly_from_config",
-    "poly_to_config",
+    "l2_norm",
 ]
 
 
@@ -232,29 +232,3 @@ def kernel_eval(
         h = np.arange(1.0, terms.size + 1.0)
         product *= 1.0 + 2.0 * math.fsum((terms * np.cos(2.0 * np.pi * h * delta)).tolist())
     return product
-
-
-# ---------------------------------------------------------------------------
-# Serialization: list of (frequency vector, re, im) triples.
-
-
-def poly_to_config(f: FourierPolynomial) -> list:
-    return [[list(h), c.real, c.imag] for h, c in sorted(f.coefficients.items())]
-
-
-def poly_from_config(params: KorobovParams, obj) -> FourierPolynomial:
-    if not isinstance(obj, list):
-        raise ConfigError("coefficients", f"expected a list of (h, re, im) triples, got {obj!r}")
-    coeffs: dict[tuple[int, ...], complex] = {}
-    for i, entry in enumerate(obj):
-        if not (isinstance(entry, (list, tuple)) and len(entry) == 3):
-            raise ConfigError(f"coefficients[{i}]", "expected [h_vector, re, im]")
-        h_raw, re, im = entry
-        if not isinstance(h_raw, (list, tuple)):
-            raise ConfigError(f"coefficients[{i}][0]", "expected a list of integers")
-        try:
-            h = tuple(int(v) for v in h_raw)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"coefficients[{i}][0]", str(exc)) from exc
-        coeffs[h] = complex(float(re), float(im))
-    return FourierPolynomial(params, coeffs)

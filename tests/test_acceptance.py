@@ -16,7 +16,7 @@ import pytest
 
 from conftest import brute_force_count, make_params, random_instance
 from korobov.cli import main as cli_main
-from korobov.grids import RegularGrid, aliased_coefficient, dual_coset_sum
+from korobov.grids import RegularGrid, aliased_coefficients, dual_coset_sum
 from korobov.index_set import (
     count_below,
     count_product_bounds,
@@ -169,7 +169,7 @@ def test_criterion_06_aliasing_identity():
             coeffs[h] = complex(rng.normal(), rng.normal())
         f = FourierPolynomial(params, coeffs)
         target = tuple(int(v) for v in rng.integers(-8, 9, size=s))
-        sampled = aliased_coefficient(grid, f, target)
+        sampled = aliased_coefficients(grid, f, [target])[0]
         direct = dual_coset_sum(grid, f, target)
         scale = max(1.0, sum(abs(c) for c in coeffs.values()))
         worst = max(worst, abs(sampled - direct) / scale)

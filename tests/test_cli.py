@@ -125,6 +125,20 @@ def test_integrate_ordering_and_na(tmp_path):
             assert float(lower) <= float(int_err) + float(int_slack) + 1e-12
 
 
+def test_integrate_answers_on_a_mesh_side_past_int64(tmp_path):
+    # The oracle's residues stay within int64 on any mesh side, so the
+    # 10**300 row is written and the 2x3 row is that of a config without it.
+    rows = {}
+    for name, meshes in (("big", [[10**300, 1], [2, 3]]), ("small", [[2, 3]])):
+        cfg = write(tmp_path, f"{name}.json", dict(BASE, M=4.0, trunc_x=40.0, meshes=meshes))
+        out = tmp_path / f"{name}.csv"
+        assert main(["integrate", "--config", cfg, "--out", str(out)]) == 0
+        rows[name] = out.read_text().splitlines()[1:]
+    assert len(rows["big"]) == 2
+    assert rows["big"][0].startswith(f"{10**300}x1,{10**300},")
+    assert rows["big"][1] == rows["small"][0]
+
+
 def test_determinism_byte_identical(tmp_path):
     eps = [0.4, 0.2, 0.1, 0.05, 0.02, 0.01, 0.005, 0.002]
     for command, extra in (

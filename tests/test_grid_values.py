@@ -22,11 +22,9 @@ from korobov.grids import (
     DEFAULT_GRID_CAP,
     RegularGrid,
     _grid_values,
-    aliased_coefficient,
     aliased_coefficients,
     dual_coset_sum,
     grid_points,
-    quadrature_residual,
     sample_mean,
 )
 from korobov.index_set import enumerate_below
@@ -120,8 +118,6 @@ SAMPLING_CALLS = {
     "grid_points": lambda: list(grid_points(OVER_CAP)),
     "sample_mean": lambda: sample_mean(OVER_CAP, F2),
     "aliased_coefficients": lambda: aliased_coefficients(OVER_CAP, F2, [(0, 0), (1, 2)]),
-    "aliased_coefficient": lambda: aliased_coefficient(OVER_CAP, F2, (1, 2)),
-    "quadrature_residual": lambda: quadrature_residual(OVER_CAP, F2),
     "integrate": lambda: integrate(GridRule(OVER_CAP), F2),
     "apply_algorithm": lambda: apply_algorithm(build_std_algorithm(PARAMS[2], 4.0, OVER_CAP), F2),
 }

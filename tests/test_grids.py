@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,12 +7,10 @@ from conftest import make_params
 from korobov.errors import CapExceeded, InvalidParameterError
 from korobov.grids import (
     RegularGrid,
-    aliased_coefficient,
+    aliased_coefficients,
     dual_coset_sum,
     dual_weight_sum,
     grid_points,
-    in_dual,
-    quadrature_residual,
     sample_mean,
 )
 from korobov.space import FourierPolynomial, basis_function
@@ -35,31 +35,31 @@ def test_grid_basics():
     assert list(grid_points(RegularGrid((1, 1)))) == [(0.0, 0.0)]
     with pytest.raises(InvalidParameterError):
         RegularGrid((0, 2))
+    numpy_sized = RegularGrid((np.int64(2), np.int32(3)))
+    assert numpy_sized.mesh == (2, 3) and all(type(m) is int for m in numpy_sized.mesh)
     with pytest.raises(CapExceeded):
         list(grid_points(RegularGrid((1001, 1000))))
 
 
-def test_in_dual():
-    g = RegularGrid((2, 3))
-    assert in_dual(g, (4, -3))
-    assert not in_dual(g, (1, 0))
-    assert in_dual(g, (0, 0))
-    with pytest.raises(InvalidParameterError):
-        in_dual(g, (1,))
+@pytest.mark.parametrize("mesh", [(2.7, 3), (True,), ("3",), (math.inf, 3), (math.nan, 3)])
+def test_mesh_sizes_must_be_integers(mesh):
+    with pytest.raises(InvalidParameterError) as err:
+        RegularGrid(mesh)
+    assert err.value.code == "term_undefined"
 
 
 def test_aliased_coefficient_trivial_cases():
     p = make_params(0.5, (1, 1), (1, 1))
     g = RegularGrid((2, 3))
     const = FourierPolynomial(p, {(0, 0): 1.0})
-    assert aliased_coefficient(g, const, (0, 0)) == pytest.approx(1.0)
+    assert aliased_coefficients(g, const, [(0, 0)])[0] == pytest.approx(1.0)
 
     # single coefficient c at freq: alias appears exactly on its coset
     c = 0.7 - 0.2j
     f = FourierPolynomial(p, {(2, -3): c})
-    assert aliased_coefficient(g, f, (0, 0)) == pytest.approx(c, abs=1e-12)
-    assert aliased_coefficient(g, f, (4, 3)) == pytest.approx(c, abs=1e-12)
-    assert abs(aliased_coefficient(g, f, (1, 0))) <= 1e-12
+    assert aliased_coefficients(g, f, [(0, 0)])[0] == pytest.approx(c, abs=1e-12)
+    assert aliased_coefficients(g, f, [(4, 3)])[0] == pytest.approx(c, abs=1e-12)
+    assert abs(aliased_coefficients(g, f, [(1, 0)])[0]) <= 1e-12
 
 
 def test_aliasing_identity_random(rng):
@@ -72,7 +72,7 @@ def test_aliasing_identity_random(rng):
             f = random_poly(params, rng)
             scale = max(1.0, sum(abs(c) for c in f.coefficients.values()))
             h = tuple(int(v) for v in rng.integers(-8, 9, size=params.s))
-            sampled = aliased_coefficient(g, f, h)
+            sampled = aliased_coefficients(g, f, [h])[0]
             direct = dual_coset_sum(g, f, h)
             assert abs(sampled - direct) <= 1e-11 * scale
 
@@ -89,21 +89,24 @@ def test_coset_partition(rng):
         by_residue[key] = by_residue.get(key, 0j) + c
     for residue, expected in by_residue.items():
         assert dual_coset_sum(g, f, residue) == pytest.approx(expected, abs=1e-13)
-        assert aliased_coefficient(g, f, residue) == pytest.approx(expected, abs=1e-11)
+        assert aliased_coefficients(g, f, [residue])[0] == pytest.approx(expected, abs=1e-11)
+    for wrong_length in ((1,), (1, 2, 3)):
+        with pytest.raises(InvalidParameterError):
+            dual_coset_sum(g, f, wrong_length)
 
 
 def test_quadrature_residual():
     p = make_params(0.5, (1, 1), (1, 1))
     g = RegularGrid((2, 3))
     const = FourierPolynomial(p, {(0, 0): 2.5})
-    assert quadrature_residual(g, const) == pytest.approx(0.0, abs=1e-14)
+    assert const.mean() - sample_mean(g, const) == pytest.approx(0.0, abs=1e-14)
 
     outside = basis_function(p, (1, 2))  # not in the dual of (2,3)
-    assert quadrature_residual(g, outside) == pytest.approx(0.0, abs=1e-12)
+    assert outside.mean() - sample_mean(g, outside) == pytest.approx(0.0, abs=1e-12)
 
     inside = basis_function(p, (2, -3))  # nonzero dual point
     w_half = 0.5 ** (5 / 2)
-    assert quadrature_residual(g, inside) == pytest.approx(-w_half, abs=1e-12)
+    assert inside.mean() - sample_mean(g, inside) == pytest.approx(-w_half, abs=1e-12)
 
 
 def test_quadrature_residual_matches_dual_sum_random(rng):
@@ -113,9 +116,11 @@ def test_quadrature_residual_matches_dual_sum_random(rng):
         g = RegularGrid(mesh)
         f = random_poly(p, rng)
         dual_side = -sum(
-            c for h, c in f.coefficients.items() if in_dual(g, h) and any(h)
+            c
+            for h, c in f.coefficients.items()
+            if all(hj % m == 0 for hj, m in zip(h, g.mesh)) and any(h)
         )
-        assert quadrature_residual(g, f) == pytest.approx(dual_side, abs=1e-11)
+        assert f.mean() - sample_mean(g, f) == pytest.approx(dual_side, abs=1e-11)
 
 
 def test_dual_weight_sum_example_and_monotonicity():

@@ -205,6 +205,18 @@ def test_bracket_covers_a_deeper_window(omega, M, mesh, trunc_x):
     assert shallow.value <= deep.value <= shallow.upper
 
 
+def test_mesh_sides_past_int64_give_the_same_result():
+    # every side here is above twice the window's reach, so each window
+    # member is alone in its coordinate's residue class and the cosets,
+    # their order and the brackets do not depend on the side
+    params = make_params(0.5, (1, 1), (1, 1))
+    results = [
+        exact_worst_case_error(build_std_algorithm(params, 4.0, RegularGrid((m, 3))))
+        for m in (10**300, 10**19, 2**62)
+    ]
+    assert results[0] == results[1] == results[2]
+
+
 def test_large_scaled_weights_do_not_overflow():
     # a_7 = 3**7 puts the trace bound's series at c = (1 - theta) a_7 log 2
     # ~ 758, where 1 / expm1(c) overflows

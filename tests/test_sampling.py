@@ -9,11 +9,9 @@ from korobov.grids import RegularGrid, dual_coset_sum
 from korobov.index_set import enumerate_below, weight_exponent
 from korobov.params import ConstantFamily, ExplicitFamily, KorobovParams, validate
 from korobov.sampling import (
-    ErrorReport,
     accuracy_algorithm,
     apply_algorithm,
     build_std_algorithm,
-    error_report,
     error_upper_bound,
     exact_worst_case_error,
     gen_error_bound,
@@ -228,8 +226,5 @@ def test_threshold_algorithm_membership_geometry(rng):
 def test_error_report():
     p = make_params(0.5, (1,), (1,))
     alg = build_std_algorithm(p, 4.0, RegularGrid((3,)))
-    report = error_report(alg, trunc_x=tight_trunc(alg))
-    assert report.n_points == 3 and report.set_size == 3
-    assert report.exact <= report.upper_bound + 1e-9
-    with pytest.raises(ValueError):
-        ErrorReport(upper_bound=0.1, exact=0.5, exact_slack=0.0, n_points=1, set_size=1)
+    assert alg.grid.n == 3 and alg.index_set.count == 3
+    assert exact_worst_case_error(alg, tight_trunc(alg)).value <= error_upper_bound(alg) + 1e-9

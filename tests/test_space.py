@@ -1,5 +1,4 @@
 import cmath
-import json
 import math
 
 import numpy as np
@@ -17,8 +16,6 @@ from korobov.space import (
     kernel_eval,
     l2_norm,
     norm,
-    poly_from_config,
-    poly_to_config,
     random_unit_ball,
 )
 
@@ -149,11 +146,3 @@ def test_reproducing_property(rng):
             },
         )
         assert inner(f, k_x) == pytest.approx(evaluate(f, x), abs=1e-10)
-
-
-def test_poly_serialization_roundtrip():
-    p = make_params(0.5, (1, 1), (1, 1))
-    f = FourierPolynomial(p, {(0, 0): 1 + 2j, (-1, 3): -0.5j})
-    blob = json.dumps(poly_to_config(f))
-    back = poly_from_config(p, json.loads(blob))
-    assert back.coefficients == f.coefficients
