@@ -11,11 +11,14 @@ samples the coefficient, :func:`dual_coset_sum` sums the coset directly.
 Function values on a grid are computed by sum factorisation, one
 coordinate at a time, and held as one array of n complex values: at most
 16 MB at the cap of 10**6 points.  Points themselves are never
-materialized; the sampled character sums stream them in blocks.  A grid
-over the cap raises :class:`CapExceeded` with its true n, before any
-allocation, in :func:`grid_points` and where grid values are formed:
+materialized; the sampled character sums stream them in blocks of at
+most 2**16 phase entries (points times frequencies), whatever |A| is, so
+their transient memory does not grow with the number of coefficients.
+A grid over the cap raises :class:`CapExceeded` with its true n, before
+any allocation, in :func:`grid_points` and where grid values are formed:
 every sampling call (:func:`sample_mean`, :func:`aliased_coefficients`,
-``integrate``, ``apply_algorithm`` ...) goes through that one check.
+``integrate``, ``apply_algorithm`` ...) goes through that one check, as
+through the check that the grid has the space's dimension.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ __all__ = [
 ]
 
 DEFAULT_GRID_CAP = 10**6
-_BLOCK = 4096
+_BLOCK_ENTRIES = 2**16
 
 
 @dataclass(frozen=True)
@@ -76,6 +79,13 @@ class RegularGrid:
         return math.prod(self.mesh)
 
 
+def _require_dimension(grid: RegularGrid, s: int) -> None:
+    if grid.s != s:
+        raise InvalidParameterError(
+            "term_undefined", f"grid dimension {grid.s} does not match space dimension {s}"
+        )
+
+
 def _check_grid_size(grid: RegularGrid) -> None:
     if grid.n > DEFAULT_GRID_CAP:
         raise CapExceeded("grid size", DEFAULT_GRID_CAP, needed=grid.n)
@@ -89,16 +99,16 @@ def grid_points(grid: RegularGrid) -> Iterator[tuple[float, ...]]:
         yield tuple(k / m for k, m in zip(ks, mesh))
 
 
-def _point_blocks(grid: RegularGrid) -> Iterator[np.ndarray]:
-    """Row-major points as (<=_BLOCK, s) float arrays, decoded from linear
+def _point_blocks(grid: RegularGrid, rows: int) -> Iterator[np.ndarray]:
+    """Row-major points as (<=rows, s) float arrays, decoded from linear
     indices so the full grid never lives in memory."""
     mesh = np.array(grid.mesh, dtype=np.int64)
     strides = np.ones(grid.s, dtype=np.int64)
     for j in range(grid.s - 2, -1, -1):
         strides[j] = strides[j + 1] * mesh[j + 1]
     n = grid.n
-    for start in range(0, n, _BLOCK):
-        idx = np.arange(start, min(start + _BLOCK, n), dtype=np.int64)
+    for start in range(0, n, rows):
+        idx = np.arange(start, min(start + rows, n), dtype=np.int64)
         ks = (idx[:, None] // strides[None, :]) % mesh[None, :]
         yield ks.astype(float) / mesh.astype(float)[None, :]
 
@@ -163,8 +173,10 @@ def _grid_values(grid: RegularGrid, f: FourierPolynomial) -> np.ndarray:
     Every frequency of f enters with its own coefficient; coefficients
     are never folded into coset sums first.  The support is contracted in
     consecutive chunks, so besides the n values at most a few n-sized
-    arrays are alive, whatever |supp f|.
+    arrays are alive, whatever |supp f|.  A grid of another dimension than
+    f's space raises rather than dropping coordinates.
     """
+    _require_dimension(grid, f.params.s)
     _check_grid_size(grid)
     keys = sorted(f.coefficients)
     if not keys:
@@ -195,12 +207,22 @@ def aliased_coefficients(
     grid: RegularGrid, f: FourierPolynomial, hs: Sequence[Sequence[int]]
 ) -> np.ndarray:
     """Sampled Fourier coefficients (1/n) sum_k f(x_k) e^{-2 pi i h.x_k}
-    for every h in ``hs``, computed by actually summing over the grid."""
+    for every h in ``hs``, computed by actually summing over the grid.
+
+    The points are taken in blocks of at most 2**16 phase entries (one
+    point per block when |hs| exceeds that), so besides the n values
+    and the output the transient memory stays a few budget-sized arrays,
+    whatever |hs|.  Every h must have the grid's dimension.
+    """
+    if any(len(h) != grid.s for h in hs):
+        raise InvalidParameterError(
+            "term_undefined", f"every frequency must have length {grid.s}, the grid's dimension"
+        )
     values = _grid_values(grid, f)
     H = np.asarray(hs, dtype=float).reshape(len(hs), grid.s)
     out = np.zeros(len(hs), dtype=complex)
     start = 0
-    for pts in _point_blocks(grid):
+    for pts in _point_blocks(grid, max(1, _BLOCK_ENTRIES // max(1, len(hs)))):
         phases = np.exp(-2j * np.pi * (pts @ H.T))
         out += values[start : start + len(pts)] @ phases
         start += len(pts)
@@ -236,10 +258,7 @@ def dual_weight_sum(params: KorobovParams, grid: RegularGrid, tol: float = 1e-14
     :func:`nonzero_mass`: certified, within about ``tol`` above the sum,
     and accurate also far below one.
     """
-    if grid.s != params.s:
-        raise InvalidParameterError(
-            "term_undefined", f"grid dimension {grid.s} does not match space dimension {params.s}"
-        )
+    _require_dimension(grid, params.s)
     bv = b_values(params)
     halved = [a * (m / 2.0) ** b for a, b, m in zip(a_values(params), bv, grid.mesh)]
     return nonzero_mass(params.omega, halved, bv, tol).hi

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from ._series import nonzero_mass
 from .errors import CapExceeded, InvalidParameterError
-from .grids import RegularGrid, sample_mean
+from .grids import RegularGrid, _require_dimension, sample_mean
 from .index_set import DEFAULT_SET_CAP, _count, _enumerate
 from .params import KorobovParams, a_values, b_values
 from .space import FourierPolynomial
@@ -94,8 +94,7 @@ def worst_case_int_error(params: KorobovParams, rule: GridRule, trunc_x: float) 
     """
     if not trunc_x > 0.0:
         raise InvalidParameterError("term_undefined", f"trunc_x must be positive, got {trunc_x}")
-    if rule.grid.s != params.s:
-        raise InvalidParameterError("term_undefined", "grid dimension mismatch")
+    _require_dimension(rule.grid, params.s)
     bv = b_values(params)
     scaled = _scaled_weights(params, rule.grid)
     # the mass is at least its leading term 2 omega**min(scaled): a tol

@@ -45,6 +45,7 @@ __all__ = [
 INFINITE = math.inf
 _U = 2.0**-53  # unit roundoff of float64
 _FLOAT_MAX = sys.float_info.max
+_LN2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -114,7 +115,8 @@ class SequenceFamily:
         raise NotImplementedError
 
     def _index_guess(self, x: float) -> float:
-        """The real j at which the closed form equals x (increasing families)."""
+        """The real j at which the closed form equals x (increasing
+        families); an int when it lies past the float range."""
         raise NotImplementedError
 
     def limit(self) -> float:
@@ -226,8 +228,15 @@ class PowerFamily(SequenceFamily):
     def _trend(self) -> float:
         return self.k
 
-    def _index_guess(self, x: float) -> float:
-        return (x / self.c) ** (1.0 / self.k)
+    def _index_guess(self, x: float) -> float | int:
+        try:
+            guess = (x / self.c) ** (1.0 / self.k)
+        except OverflowError:
+            guess = INFINITE
+        if guess < _FLOAT_MAX:
+            return guess
+        # past the float range: an integer built from the logarithm
+        return _int_exp((math.log(x) - math.log(self.c)) / self.k)
 
 
 @dataclass(frozen=True)
@@ -395,24 +404,67 @@ class ExplicitFamily(SequenceFamily):
         return rest if rest == INFINITE else max(best, int(rest))  # an int may be past the float range
 
 
-def _adjusted_max_index(term, guess: float, x: float) -> int:
-    """Largest j >= 1 with term(j) < x (0 when none), starting from a float
+def _int_exp(log_j: float) -> int:
+    """An integer near e**log_j, for log_j past the float range: a
+    float's leading bits, shifted."""
+    shift = int(log_j / _LN2) - 60
+    return int(math.exp(log_j - shift * _LN2)) << shift
+
+
+def _adjusted_max_index(term, guess: float | int, x: float) -> int:
+    """Largest j >= 1 with term(j) < x (0 when none), starting from a
     guess.
 
     The guess comes from inverting the closed form; the final answer is
     settled by direct strict comparisons so rounding in the inversion
     cannot shift the boundary.  Steps up from the guess double and the
     bracket is then bisected, so a run of equal rounded terms costs a
-    logarithmic number of comparisons.
+    logarithmic number of comparisons.  An integer guess past the float
+    range is searched by :func:`_max_index_past_floats`.
     """
-    # a guess past the float range (or no guess) starts from the largest
-    # float; the search below runs in Python ints, which do not overflow
+    if isinstance(guess, int) and guess > _FLOAT_MAX:
+        # start 2**-20 below the guess, on a multiple of about guess >> 40
+        unit = 1 << (guess.bit_length() - 40)
+        lo = (guess - (guess >> 20)) // unit * unit
+        if term(lo) < x:
+            return _max_index_past_floats(term, lo, unit, x)
+    # any other guess past the float range (inf, nan, or an integer that
+    # overshot) starts from the largest float; the search below runs in
+    # Python ints, which do not overflow
     lo, hi, step = 0, max(1, int(guess if guess < _FLOAT_MAX else _FLOAT_MAX)), 1
     while term(hi) < x:
         lo, hi, step = hi, hi + step, 2 * step
     while hi - lo > 1:  # term(lo) < x (or lo = 0) and term(hi) >= x
         mid = (lo + hi) // 2
         lo, hi = (mid, hi) if term(mid) < x else (lo, mid)
+    return lo
+
+
+def _max_index_past_floats(term, lo: int, unit: int, x: float) -> int:
+    """Largest j with term(j) < x, given term(lo) < x and lo a multiple
+    of the power of two ``unit``, far past the float range.
+
+    There a term depends on j only through j rounded to a float, so it
+    steps only where that rounding does: at a multiple of a large power of
+    two, or one past it.  Doubling steps from lo keep the bracket a power
+    of two times ``unit`` above a multiple of it, so the bisection visits
+    that multiple; testing each visited index's neighbour on the other
+    side then ends the search after a few dozen terms instead of one per
+    bit of j.
+    """
+    hi, step = lo + unit, 2 * unit
+    while term(hi) < x:
+        lo, hi, step = hi, hi + step, 2 * step
+    while hi - lo > 1:  # term(lo) < x <= term(hi)
+        mid = (lo + hi) // 2
+        if term(mid) < x:
+            if not term(mid + 1) < x:
+                return mid
+            lo = mid
+        else:
+            if term(mid - 1) < x:
+                return mid - 1
+            hi = mid
     return lo
 
 

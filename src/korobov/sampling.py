@@ -33,6 +33,7 @@ from .errors import CapExceeded, InvalidParameterError
 from .grids import (
     DEFAULT_GRID_CAP,
     RegularGrid,
+    _require_dimension,
     aliased_coefficients,
     dual_weight_sum,
 )
@@ -73,6 +74,7 @@ class StdAlgorithm:
     def __post_init__(self):
         if not self.M > 1.0:
             raise InvalidParameterError("term_undefined", f"M must exceed 1, got {self.M}")
+        _require_dimension(self.grid, self.params.s)
         expected = math.log(self.M) / self.params.log_inv_omega
         if not math.isclose(self.index_set.threshold, expected, rel_tol=1e-12, abs_tol=1e-12):
             raise InvalidParameterError(

@@ -5,7 +5,9 @@ coordinate at a time; ``evaluate_many`` sums f's Fourier terms at each
 point directly.  They must agree everywhere, the sampled quantities built
 on the grid values must equal the dual-lattice coset sums (the aliasing
 identity of criterion 06), and the evaluation must not need memory
-beyond a few n-sized arrays, whatever the size of f's support.
+beyond a few n-sized arrays, whatever the size of f's support, nor the
+sampled character sums beyond a few block-sized arrays, whatever the
+number of coefficients asked for.
 """
 
 import math
@@ -17,7 +19,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 from conftest import make_params
-from korobov.errors import CapExceeded
+from korobov.errors import CapExceeded, InvalidParameterError
 from korobov.grids import (
     DEFAULT_GRID_CAP,
     RegularGrid,
@@ -29,7 +31,7 @@ from korobov.grids import (
 )
 from korobov.index_set import enumerate_below
 from korobov.integration import GridRule, integrate
-from korobov.sampling import apply_algorithm, build_std_algorithm
+from korobov.sampling import StdAlgorithm, apply_algorithm, build_std_algorithm
 from korobov.space import FourierPolynomial, evaluate_many, random_unit_ball
 
 PARAMS = {s: make_params(0.5, (1.0,) * s, (1.0,) * s) for s in (1, 2, 3)}
@@ -110,6 +112,105 @@ def test_memory_stays_within_a_few_grid_arrays():
         abs(c) for c in f.coefficients.values()
     )
 
+
+def test_transform_memory_does_not_grow_with_the_number_of_coefficients():
+    params = make_params(0.5, (1.0, 1.0), (1.0, 1.0))
+    kept = enumerate_below(params, 44.0)
+    assert kept.count == 3785
+    f = random_unit_ball(params, kept, seed=23)
+    grid = RegularGrid((64, 64))
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        sampled = aliased_coefficients(grid, f, kept.members)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # a few arrays of the 2**16-entry block budget, plus the n values and
+    # the |A| outputs; blocks of 4,096 points x |A| peaked at 496 MB here
+    assert peak - start <= 64 * 2**16 + 64 * (grid.n + kept.count)
+    scale = sum(abs(c) for c in f.coefficients.values())
+    for i in (0, 1, 1000, 3784):
+        h = kept.members[i]
+        assert abs(sampled[i] - dual_coset_sum(grid, f, h)) <= 1e-11 * scale
+
+
+def _coset_sum_errors(grid, f, hs):
+    """Largest gap between sampled coefficients and their coset sums,
+    relative to sum |c|."""
+    sampled = aliased_coefficients(grid, f, hs)
+    assert sampled.shape == (len(hs),)
+    coset = {h: dual_coset_sum(grid, f, h) for h in set(hs)}
+    scale = max(1.0, sum(abs(c) for c in f.coefficients.values()))
+    return max((abs(v - coset[h]) / scale for v, h in zip(sampled, hs)), default=0.0)
+
+
+def _random_case(rng, mesh, terms, count):
+    s = len(mesh)
+    f = FourierPolynomial(
+        PARAMS[s],
+        {tuple(int(v) for v in rng.integers(-9, 10, size=s)): complex(rng.normal(), rng.normal())
+         for _ in range(terms)},
+    )
+    hs = [tuple(int(v) for v in rng.integers(-6, 7, size=s)) for _ in range(count)]
+    return RegularGrid(mesh), f, hs
+
+
+@pytest.mark.parametrize(
+    "mesh,count",
+    [
+        ((3, 5), 2**16 + 3),  # more frequencies than the budget: one point per block
+        ((40, 50), 100),  # blocks of 655 points, which do not divide n = 2000
+        ((1, 1), 7),  # n = 1
+        ((7,), 2**16 // 7),  # blocks of 7 points, one block exactly
+        ((3, 3, 3), 2**15),  # two points per block except the last
+    ],
+    ids=str,
+)
+def test_block_boundaries_keep_the_aliasing_identity(mesh, count):
+    rng = np.random.default_rng(count)
+    assert _coset_sum_errors(*_random_case(rng, mesh, 12, count)) <= 1e-11
+
+
+def test_no_frequencies_give_an_empty_array():
+    grid, f, _ = _random_case(np.random.default_rng(1), (4, 6), 5, 0)
+    sampled = aliased_coefficients(grid, f, [])
+    assert sampled.shape == (0,) and sampled.dtype == complex
+
+
+# s = 2, true mean 0.5; a one-coordinate grid read e_(0,3) as e_0 and
+# returned 1.5, and a three-coordinate one dropped its last coordinate
+F_WRONG_GRID = FourierPolynomial(PARAMS[2], {(0, 0): 0.5, (0, 3): 1.0})
+WRONG_DIMENSION_CALLS = {
+    "sample_mean": lambda grid: sample_mean(grid, F_WRONG_GRID),
+    "integrate": lambda grid: integrate(GridRule(grid), F_WRONG_GRID),
+    "aliased_coefficients": lambda grid: aliased_coefficients(grid, F_WRONG_GRID, [(0,) * grid.s]),
+    "build_std_algorithm": lambda grid: build_std_algorithm(PARAMS[2], 3.0, grid),
+    "StdAlgorithm": lambda grid: StdAlgorithm(
+        PARAMS[2], 3.0, grid, build_std_algorithm(PARAMS[2], 3.0, RegularGrid((4, 4))).index_set
+    ),
+}
+
+
+@pytest.mark.parametrize("mesh", [(4,), (4, 4, 4)], ids=str)
+@pytest.mark.parametrize("call", WRONG_DIMENSION_CALLS)
+def test_a_grid_of_another_dimension_raises(call, mesh):
+    with pytest.raises(InvalidParameterError) as err:
+        WRONG_DIMENSION_CALLS[call](RegularGrid(mesh))
+    assert err.value.code == "term_undefined"
+
+
+@pytest.mark.parametrize("h", [(1,), (1, 2, 3)], ids=str)
+def test_a_frequency_of_another_length_raises(h):
+    with pytest.raises(InvalidParameterError) as err:
+        aliased_coefficients(RegularGrid((4, 4)), F_WRONG_GRID, [(0, 0), h])
+    assert err.value.code == "term_undefined"
+
+
+def test_a_grid_of_the_right_dimension_samples_the_true_mean():
+    grid = RegularGrid((4, 4))
+    assert abs(sample_mean(grid, F_WRONG_GRID) - 0.5) <= 1e-15
+    assert abs(integrate(GridRule(grid), F_WRONG_GRID) - 0.5) <= 1e-15
 
 
 OVER_CAP = RegularGrid((1001, 1000))
