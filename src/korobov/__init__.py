@@ -17,7 +17,6 @@ from .grids import (
     RegularGrid,
     dual_coset_sum,
     dual_weight_sum,
-    grid_points,
 )
 from .index_set import (
     IndexSet,

@@ -33,7 +33,7 @@ from .errors import CapExceeded, ConfigError, InvalidParameterError, KorobovErro
 from .grids import DEFAULT_GRID_CAP, RegularGrid
 from .index_set import DEFAULT_SET_CAP, count_below, count_product_bounds, exponent_budget
 from .integration import GridRule, small_n_lower_bound, worst_case_int_error
-from .params import KorobovParams, _read_json, load_params, params_from_config, validate
+from .params import KorobovParams, _number, _read_json, load_params, params_from_config, validate
 # exact_worst_case_error is not called here: the subcommands run the
 # oracle through _oracle_many.  The name stays importable from this module
 # because bench/tracer.py wraps korobov.cli.exact_worst_case_error.
@@ -88,16 +88,6 @@ def _params_of(config: dict, config_path: str) -> KorobovParams:
     return params_from_config(
         {k: config[k] for k in ("omega", "s", "a", "b") if k in config}
     )
-
-
-def _number(value, path: str, above: float, below: float = math.inf, integer: bool = False):
-    """A finite config number strictly between ``above`` and ``below``, as
-    a float, or as an int when ``integer``; else ConfigError at ``path``."""
-    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
-        raise ConfigError(path, f"expected {'an integer' if integer else 'a number'}, got {value!r}")
-    if not (above < value < below and value <= sys.float_info.max):
-        raise ConfigError(path, f"expected a finite value in ({above:g}, {below:g}), got {value!r}")
-    return value if integer else float(value)
 
 
 def _eps_list(config: dict) -> list[float]:

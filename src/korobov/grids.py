@@ -15,15 +15,14 @@ materialized; the sampled character sums stream them in blocks of at
 most 2**16 phase entries (points times frequencies), whatever |A| is, so
 their transient memory does not grow with the number of coefficients.
 A grid over the cap raises :class:`CapExceeded` with its true n, before
-any allocation, in :func:`grid_points` and where grid values are formed:
-every sampling call (:func:`sample_mean`, :func:`aliased_coefficients`,
-``integrate``, ``apply_algorithm`` ...) goes through that one check, as
-through the check that the grid has the space's dimension.
+any allocation, where grid values are formed: every sampling call
+(:func:`sample_mean`, :func:`aliased_coefficients`, ``integrate``,
+``apply_algorithm`` ...) goes through that one check, as through the
+check that the grid has the space's dimension.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -40,7 +39,6 @@ from .space import evaluate_many  # noqa: F401  (wrapped by name in bench/tracer
 __all__ = [
     "DEFAULT_GRID_CAP",
     "RegularGrid",
-    "grid_points",
     "sample_mean",
     "aliased_coefficients",
     "dual_coset_sum",
@@ -84,19 +82,6 @@ def _require_dimension(grid: RegularGrid, s: int) -> None:
         raise InvalidParameterError(
             "term_undefined", f"grid dimension {grid.s} does not match space dimension {s}"
         )
-
-
-def _check_grid_size(grid: RegularGrid) -> None:
-    if grid.n > DEFAULT_GRID_CAP:
-        raise CapExceeded("grid size", DEFAULT_GRID_CAP, needed=grid.n)
-
-
-def grid_points(grid: RegularGrid) -> Iterator[tuple[float, ...]]:
-    """All n points in row-major order of (k_1, ..., k_s)."""
-    _check_grid_size(grid)
-    mesh = grid.mesh
-    for ks in itertools.product(*(range(m) for m in mesh)):
-        yield tuple(k / m for k, m in zip(ks, mesh))
 
 
 def _point_blocks(grid: RegularGrid, rows: int) -> Iterator[np.ndarray]:
@@ -177,7 +162,8 @@ def _grid_values(grid: RegularGrid, f: FourierPolynomial) -> np.ndarray:
     f's space raises rather than dropping coordinates.
     """
     _require_dimension(grid, f.params.s)
-    _check_grid_size(grid)
+    if grid.n > DEFAULT_GRID_CAP:
+        raise CapExceeded("grid size", DEFAULT_GRID_CAP, needed=grid.n)
     keys = sorted(f.coefficients)
     if not keys:
         return np.zeros(grid.n, dtype=complex)

@@ -200,9 +200,8 @@ class IndexSet:
     order.  The ordered views are built on first read, by one lexsort:
     ``member_array`` and ``exponent_array`` list the rows by
     nondecreasing exponent, ties broken by plain lexicographic order on
-    the component vector (negatives first), and ``members`` and
-    ``member_exponents`` are the same rows as tuples.  A set nobody
-    reads in order is never sorted.  The set is fixed by ``params`` and
+    the component vector (negatives first), and ``members`` holds the
+    same rows as tuples.  A set nobody reads in order is never sorted.  The set is fixed by ``params`` and
     ``threshold``, so equality reads those and the count only.
     """
 
@@ -233,10 +232,6 @@ class IndexSet:
         return tuple(map(tuple, self.member_array.tolist()))
 
     @cached_property
-    def member_exponents(self) -> tuple[float, ...]:
-        return tuple(self.exponent_array.tolist())
-
-    @cached_property
     def _weights(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
         return a_values(self.params), b_values(self.params)
 
@@ -246,9 +241,6 @@ class IndexSet:
                 "term_undefined", f"frequency has length {len(h)}, expected {self.params.s}"
             )
         return _exponent(*self._weights, h) < self.threshold
-
-    def exponents(self) -> list[float]:
-        return self.exponent_array.tolist()
 
 
 def enumerate_below(
@@ -287,18 +279,14 @@ def last_active_coordinate(params: KorobovParams, x: float) -> float:
     return params.a.sup_index_below(x)
 
 
-def count_product_bounds(
-    params: KorobovParams,
-    x: float,
-    alphas: Sequence[float] | None = None,
-) -> tuple[float, float]:
+def count_product_bounds(params: KorobovParams, x: float) -> tuple[float, float]:
     """Closed-form sandwich for the exact count.
 
     ``lower <= count_below(params, x) <= upper`` where both sides are
     products of per-coordinate odd interval sizes over the j <= s with
-    a_j < x, read from a_1..a_s alone.  The split weights
-    ``alphas`` default to alpha_j = (j-1)/j, which turns the lower bound
-    into the product over 2*ceil((x/(a_j*s))**(1/b_j)) - 1.
+    a_j < x, read from a_1..a_s alone.  The lower bound splits the budget
+    by the weights alpha_j = (j-1)/j, which turns it into the product over
+    2*ceil((x/(a_j*s))**(1/b_j)) - 1.
     """
     av, bv = a_values(params), b_values(params)
     s = params.s
@@ -306,16 +294,7 @@ def count_product_bounds(
         raise InvalidParameterError(
             "term_undefined", f"product bounds need x > a_1, got x = {x}, a_1 = {av[0]}"
         )
-    if alphas is None:
-        alpha = [(j - 1.0) / j for j in range(1, s + 1)]
-    else:
-        alpha = [float(v) for v in alphas]
-        if len(alpha) != s:
-            raise InvalidParameterError(
-                "term_undefined", f"need {s} split weights, got {len(alpha)}"
-            )
-        if any(not (0.0 <= v <= 1.0) for v in alpha):
-            raise InvalidParameterError("term_undefined", "split weights must lie in [0,1]")
+    alpha = [(j - 1.0) / j for j in range(1, s + 1)]
 
     top = sum(1 for a in av if a < x)  # min(s, last active coordinate) for monotone a
 

@@ -193,15 +193,14 @@ class PowerFamily(SequenceFamily):
     kind = "power"
 
     def term(self, j: int) -> float:
+        """c * float(j)**k wherever that is finite.  Where j or j**k is
+        past the float range, the term is formed in log space (math.log
+        takes ints of any size), so it is inf only when c * j**k is."""
         self._require_index(j)
         try:
-            base = float(j)
-        except OverflowError:  # j past the float range: math.log takes ints of any size
-            base = None
-        try:
-            return self.c * (base**self.k if base is not None else math.exp(self.k * math.log(j)))
+            return self.c * float(j) ** self.k
         except OverflowError:
-            return INFINITE
+            return _exp_past_floats(lambda: math.log(self.c) + self.k * math.log(j))
 
     def log_growth(self) -> float:
         # log(c j^k)/j -> 0 for any fixed k.
@@ -251,8 +250,8 @@ class GeometricFamily(SequenceFamily):
         self._require_index(j)
         try:
             return self.c * self.r**j
-        except OverflowError:
-            return INFINITE
+        except OverflowError:  # r**j past the float range; c * r**j may not be
+            return _exp_past_floats(lambda: math.log(self.c) + j * math.log(self.r))
 
     def log_growth(self) -> float:
         return math.log(self.r) if self.r >= 1 else -INFINITE
@@ -283,8 +282,8 @@ class ExponentialFamily(SequenceFamily):
         self._require_index(j)
         try:
             return self.c * math.exp(self.alpha * j)
-        except OverflowError:
-            return INFINITE
+        except OverflowError:  # exp(alpha j) past the float range; c exp(alpha j) may not be
+            return _exp_past_floats(lambda: math.log(self.c) + self.alpha * j)
 
     def log_growth(self) -> float:
         return self.alpha
@@ -404,6 +403,14 @@ class ExplicitFamily(SequenceFamily):
         return rest if rest == INFINITE else max(best, int(rest))  # an int may be past the float range
 
 
+def _exp_past_floats(log_term) -> float:
+    """e**log_term(), or inf where that or log_term() itself overflows."""
+    try:
+        return math.exp(log_term())
+    except OverflowError:
+        return INFINITE
+
+
 def _int_exp(log_j: float) -> int:
     """An integer near e**log_j, for log_j past the float range: a
     float's leading bits, shifted."""
@@ -412,57 +419,41 @@ def _int_exp(log_j: float) -> int:
 
 
 def _adjusted_max_index(term, guess: float | int, x: float) -> int:
-    """Largest j >= 1 with term(j) < x (0 when none), starting from a
-    guess.
+    """Largest j >= 1 with term(j) < x (0 when none), for a nondecreasing
+    term, from any guess.
 
-    The guess comes from inverting the closed form; the final answer is
-    settled by direct strict comparisons so rounding in the inversion
-    cannot shift the boundary.  Steps up from the guess double and the
-    bracket is then bisected, so a run of equal rounded terms costs a
-    logarithmic number of comparisons.  An integer guess past the float
-    range is searched by :func:`_max_index_past_floats`.
+    The guess comes from inverting the closed form; the answer is settled
+    by direct strict comparisons, so rounding in the inversion cannot
+    shift the boundary.  The search starts just below the guess, 2**-20
+    of it and one below (an exact real root j of term(j) = x is not the
+    answer), on a multiple of a power of two ``unit`` near guess >> 40 (1
+    below 2**40).  It steps up by doubling and then bisects, so every
+    index it visits is a multiple of ``unit`` until the bracket is
+    narrower.  Past 2**53 a term depends on j only through j rounded to a
+    float, so it steps only where that rounding does: at a multiple of a
+    large power of two, or one past it.  Testing each visited index's
+    neighbour on the other side therefore ends the search after a few
+    dozen terms instead of one per bit of j.  A guess that is inf or nan,
+    or that lands above the answer, starts from 0.
     """
-    if isinstance(guess, int) and guess > _FLOAT_MAX:
-        # start 2**-20 below the guess, on a multiple of about guess >> 40
-        unit = 1 << (guess.bit_length() - 40)
-        lo = (guess - (guess >> 20)) // unit * unit
-        if term(lo) < x:
-            return _max_index_past_floats(term, lo, unit, x)
-    # any other guess past the float range (inf, nan, or an integer that
-    # overshot) starts from the largest float; the search below runs in
-    # Python ints, which do not overflow
-    lo, hi, step = 0, max(1, int(guess if guess < _FLOAT_MAX else _FLOAT_MAX)), 1
+    lo, unit = 0, 1
+    if -INFINITE < guess < INFINITE:  # false for inf and nan
+        g = int(guess)
+        unit = 1 << max(0, g.bit_length() - 40)
+        lo = (g - (g >> 20) - 1) // unit * unit
+        if lo < 1 or not term(lo) < x:
+            lo, unit = 0, 1
+    hi, step = lo + unit, 2 * unit
     while term(hi) < x:
         lo, hi, step = hi, hi + step, 2 * step
     while hi - lo > 1:  # term(lo) < x (or lo = 0) and term(hi) >= x
         mid = (lo + hi) // 2
-        lo, hi = (mid, hi) if term(mid) < x else (lo, mid)
-    return lo
-
-
-def _max_index_past_floats(term, lo: int, unit: int, x: float) -> int:
-    """Largest j with term(j) < x, given term(lo) < x and lo a multiple
-    of the power of two ``unit``, far past the float range.
-
-    There a term depends on j only through j rounded to a float, so it
-    steps only where that rounding does: at a multiple of a large power of
-    two, or one past it.  Doubling steps from lo keep the bracket a power
-    of two times ``unit`` above a multiple of it, so the bisection visits
-    that multiple; testing each visited index's neighbour on the other
-    side then ends the search after a few dozen terms instead of one per
-    bit of j.
-    """
-    hi, step = lo + unit, 2 * unit
-    while term(hi) < x:
-        lo, hi, step = hi, hi + step, 2 * step
-    while hi - lo > 1:  # term(lo) < x <= term(hi)
-        mid = (lo + hi) // 2
         if term(mid) < x:
-            if not term(mid + 1) < x:
+            if mid + 1 == hi or not term(mid + 1) < x:
                 return mid
             lo = mid
         else:
-            if term(mid - 1) < x:
+            if mid - 1 == lo or term(mid - 1) < x:
                 return mid - 1
             hi = mid
     return lo
@@ -546,10 +537,14 @@ def _need(obj: dict, key: str, path: str):
     return obj[key]
 
 
-def _as_number(value, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(path, f"expected a number, got {value!r}")
-    return float(value)
+def _number(value, path: str, above: float = -INFINITE, below: float = INFINITE, integer: bool = False):
+    """A finite config number strictly between ``above`` and ``below``, as
+    a float, or as an int when ``integer``; else ConfigError at ``path``."""
+    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
+        raise ConfigError(path, f"expected {'an integer' if integer else 'a number'}, got {value!r}")
+    if not (above < value < below and abs(value) <= _FLOAT_MAX):
+        raise ConfigError(path, f"expected a finite value in ({above:g}, {below:g}), got {value!r}")
+    return value if integer else float(value)
 
 
 # kind -> (class, its fields in config order)
@@ -571,11 +566,11 @@ def family_from_config(obj, path: str = "") -> SequenceFamily:
         raise ConfigError(sub("family"), f"unknown family kind {kind!r}")
     cls, fields = _KINDS[kind]
     if cls is not ExplicitFamily:
-        return cls(*(_as_number(_need(obj, key, path), sub(key)) for key in fields))
+        return cls(*(_number(_need(obj, key, path), sub(key)) for key in fields))
     raw = _need(obj, "values", path)
     if not isinstance(raw, list) or not raw:
         raise ConfigError(sub("values"), "expected a nonempty list of numbers")
-    values = tuple(_as_number(v, f"{sub('values')}[{i}]") for i, v in enumerate(raw))
+    values = tuple(_number(v, f"{sub('values')}[{i}]") for i, v in enumerate(raw))
     tail = obj.get("tail")
     try:
         return ExplicitFamily(values, family_from_config(tail, sub("tail")) if isinstance(tail, dict) else tail)
@@ -600,7 +595,7 @@ def params_from_config(obj, path: str = "") -> KorobovParams:
     if not isinstance(obj, dict):
         raise ConfigError(path, f"expected an object with omega/s/a/b, got {obj!r}")
     sub = lambda key: f"{path}.{key}" if path else key
-    omega = _as_number(_need(obj, "omega", path), sub("omega"))
+    omega = _number(_need(obj, "omega", path), sub("omega"))
     s_raw = _need(obj, "s", path)
     if isinstance(s_raw, bool) or not isinstance(s_raw, int):
         raise ConfigError(sub("s"), f"expected an integer dimension, got {s_raw!r}")

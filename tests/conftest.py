@@ -8,6 +8,7 @@ library is evidence, not tautology.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -29,6 +30,13 @@ def make_params(omega, a_terms, b_terms):
     a = ExplicitFamily(tuple(float(v) for v in a_terms), "repeat")
     b = ExplicitFamily(tuple(float(v) for v in b_terms), "repeat")
     return validate(KorobovParams(omega=omega, a=a, b=b, s=len(a_terms)))
+
+
+def row_major_points(grid) -> list[tuple[float, ...]]:
+    """All n points (k_1/m_1, ..., k_s/m_s) of a regular grid, in
+    row-major order of (k_1, ..., k_s)."""
+    mesh = grid.mesh
+    return [tuple(k / m for k, m in zip(ks, mesh)) for ks in itertools.product(*map(range, mesh))]
 
 
 def box_radii(params, x):

@@ -251,11 +251,25 @@ def test_each_subcommand_takes_the_caps_its_handler_reads():
         ("integrate", "meshes", "true", "meshes[0][1]"),
         ("complexity", "s_list", "true", "s_list[0]"),
         ("complexity", "eps", "1e999", "eps[0]"),
+        # b = constant(inf) once sent analyze into a ZeroDivisionError and
+        # let complexity print lemma_upper = 1 below n_all = 9
+        ("analyze", "b", "Infinity", "b.c"),
+        ("complexity", "b", "Infinity", "b.c"),
+        ("analyze", "omega", "NaN", "omega"),
+        ("complexity", "omega", "1e999", "omega"),
+        ("analyze", "a", "-Infinity", "a.values[1]"),
+        ("complexity", "a", "NaN", "a.values[1]"),
     ],
 )
 def test_bad_config_numbers_exit_one_with_one_error_line(tmp_path, capsys, command, key, token, path):
     config = dict(BASE, eps=[0.1], s_list=[1], M=4.0, trunc_x=40.0, meshes=[[2, 3]])
-    config[key] = {"meshes": [[2, "@"]], "s_list": ["@"], "eps": ["@"]}.get(key, "@")
+    config[key] = {
+        "meshes": [[2, "@"]],
+        "s_list": ["@"],
+        "eps": ["@"],
+        "a": {"family": "explicit", "values": [1, "@"], "tail": "repeat"},
+        "b": {"family": "constant", "c": "@"},
+    }.get(key, "@")
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps(config).replace('"@"', token))
     out = tmp_path / "out.csv"
@@ -272,3 +286,4 @@ def test_complexity_validates_the_space_at_every_dimension(tmp_path, capsys):
     assert main(["complexity", "--config", cfg, "--out", str(out)]) == 1
     assert capsys.readouterr().err == "error: s_list[1]: a_3 = 2.0 < a_2 = 3.0\n"
     assert not out.exists()
+

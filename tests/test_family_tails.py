@@ -7,11 +7,18 @@ they are checked only against the terms themselves: a scan of j = 1..3000
 plus indices 2**12 .. 2**194 far out in the tail.  The families cover
 every kind, the degenerate k = 0, r = 1 and alpha = 0, decreasing
 parameters, and explicit families with each tail rule.
+
+The sup-index search is checked against the two-path search it replaced,
+kept below with its logic unchanged: the same answer from every guess,
+in a bounded number of terms from the family's own.
 """
 
 import math
+import sys
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import HealthCheck, example, given, settings
 
 from korobov.cli import main
 from korobov.errors import ConfigError, InvalidParameterError, UndecidableTail
@@ -24,6 +31,8 @@ from korobov.params import (
     _adjusted_max_index,
     family_from_config,
 )
+
+_FLOAT_MAX = sys.float_info.max
 
 CLOSED = [
     ConstantFamily(1.0),
@@ -252,3 +261,160 @@ def test_unknown_or_unhashable_kind_is_a_config_error(kind):
     with pytest.raises(ConfigError) as info:
         family_from_config({"family": kind, "c": 1, "k": 2}, "b")
     assert info.value.path == "b.family"
+
+
+# ---------------------------------------------------------------------------
+# Reference: the doubling-and-bisection search with a second path for
+# integer guesses past the float range, which the one search replaced.
+
+
+def reference_max_index(term, guess, x):
+    """Largest j >= 1 with term(j) < x (0 when none), starting from a guess."""
+    if isinstance(guess, int) and guess > _FLOAT_MAX:
+        unit = 1 << (guess.bit_length() - 40)
+        lo = (guess - (guess >> 20)) // unit * unit
+        if term(lo) < x:
+            return reference_past_floats(term, lo, unit, x)
+    lo, hi, step = 0, max(1, int(guess if guess < _FLOAT_MAX else _FLOAT_MAX)), 1
+    while term(hi) < x:
+        lo, hi, step = hi, hi + step, 2 * step
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if term(mid) < x else (lo, mid)
+    return lo
+
+
+def reference_past_floats(term, lo, unit, x):
+    """Largest j with term(j) < x, given term(lo) < x and lo a multiple
+    of the power of two ``unit``, far past the float range."""
+    hi, step = lo + unit, 2 * unit
+    while term(hi) < x:
+        lo, hi, step = hi, hi + step, 2 * step
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if term(mid) < x:
+            if not term(mid + 1) < x:
+                return mid
+            lo = mid
+        else:
+            if term(mid - 1) < x:
+                return mid - 1
+            hi = mid
+    return lo
+
+
+def own_guess(family, x):
+    try:
+        return family._index_guess(x)
+    except OverflowError:
+        return math.inf
+
+
+def nudged(guess, sign):
+    """The guess times 1 + sign * 2**-30."""
+    if isinstance(guess, int):
+        return guess + sign * (guess >> 30)
+    return guess * (1.0 + sign * 2.0**-30)
+
+
+def counted(term):
+    calls = []
+
+    def wrapped(j):
+        calls.append(j)
+        return term(j)
+
+    return wrapped, calls
+
+
+MAX_BITS = 4000  # a guess of 1 is searched one bit at a time
+
+
+@st.composite
+def families_and_budgets(draw):
+    c = 10.0 ** draw(st.floats(-300.0, 5.0))
+    x = 10.0 ** draw(st.floats(math.log10(1.5), 300.0))
+    kind = draw(st.sampled_from(["power", "geometric", "exponential"]))
+    if kind == "power":
+        # answers near (x/c)**(1/k) keep at most MAX_BITS bits
+        k = max(draw(st.floats(0.05, 8.0)), math.log2(x / c) / MAX_BITS if x > c else 0.0)
+        return PowerFamily(c, k), x
+    if kind == "geometric":
+        return GeometricFamily(c, 1.0 + 10.0 ** draw(st.floats(-9.0, 2.0))), x
+    return ExponentialFamily(c, 10.0 ** draw(st.floats(-9.0, 1.0))), x
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(families_and_budgets())
+def test_the_search_answers_alike_from_every_guess(case):
+    family, x = case
+    guess = own_guess(family, x)
+    expected = reference_max_index(family.term, guess, x)
+    assert expected == 0 or family.term(expected) < x
+    assert x <= family.term(expected + 1)
+    term, calls = counted(family.term)
+    assert _adjusted_max_index(term, guess, x) == expected
+    assert len(calls) <= 100
+    for other in (nudged(guess, 1), nudged(guess, -1), 1, math.inf, math.nan):
+        assert _adjusted_max_index(family.term, other, x) == expected
+
+
+@pytest.mark.parametrize(
+    "family,x,bits",
+    [(PowerFamily(1e-300, 2.0), 1e10, 515), (PowerFamily(1e-300, 0.3), 1e300, 6644)],
+    ids=repr,
+)
+def test_a_small_power_coefficient_reaches_the_true_boundary(family, x, bits):
+    # j**k overflows long before c * j**k does; a term of inf there once
+    # cut the answer to where j**k overflows (512 and 3,414 bits)
+    j = family.sup_index_below(x)
+    assert family.term(j) < x <= family.term(j + 1)
+    assert j.bit_length() == bits
+    true_log = (math.log(x) - math.log(family.c)) / family.k
+    assert abs(math.log(j) - true_log) <= 1e-12 * true_log
+
+
+@pytest.mark.parametrize(
+    "family,x,j",
+    [(GeometricFamily(1e-300, 2.0), 1e10, 1029), (ExponentialFamily(1e-300, 1.0), 1e10, 713)],
+    ids=repr,
+)
+def test_a_small_coefficient_keeps_geometric_and_exponential_terms_finite(family, x, j):
+    # r**j and exp(alpha j) overflow at j = 1024 and 710, c times them not
+    assert family.term(j) < x <= family.term(j + 1) < math.inf
+    assert family.sup_index_below(x) == j
+
+
+def test_a_float_guess_past_2_to_the_53_takes_few_terms():
+    # the guess 5e299 was bisected from 0 one bit at a time: 996 terms
+    family = PowerFamily(2.0, 1.0)
+    term, calls = counted(family.term)
+    j = _adjusted_max_index(term, family._index_guess(1e300), 1e300)
+    assert family.term(j) < 1e300 <= family.term(j + 1)
+    assert len(calls) <= 100
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    st.floats(-300.0, 5.0),
+    st.floats(-3.0, 10.0),
+    st.one_of(st.integers(1, 2**64), st.integers(1, 2**1100)),
+)
+@example(-300.0, 2.0, 10**200)  # j**k overflows, c * j**k = 1e100
+@example(-300.0, 1.1, 2**1100)  # j past the float range
+def test_power_terms_are_the_float_product_wherever_it_is_finite(log_c, k, j):
+    family = PowerFamily(10.0**log_c, k)
+    try:
+        direct = family.c * float(j) ** k
+    except OverflowError:
+        direct = math.inf
+    if direct < math.inf:
+        assert family.term(j) == direct
+        return
+    # past the float product the term is formed in log space, and is inf
+    # only where c * j**k overflows
+    log_term = math.log(family.c) + k * math.log(j)
+    if log_term < 709.0:
+        assert family.term(j) == pytest.approx(math.exp(log_term), rel=1e-12)
+    elif log_term > 710.0:
+        assert family.term(j) == math.inf

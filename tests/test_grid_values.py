@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from conftest import make_params
+from conftest import make_params, row_major_points
 from korobov.errors import CapExceeded, InvalidParameterError
 from korobov.grids import (
     DEFAULT_GRID_CAP,
@@ -26,7 +26,6 @@ from korobov.grids import (
     _grid_values,
     aliased_coefficients,
     dual_coset_sum,
-    grid_points,
     sample_mean,
 )
 from korobov.index_set import enumerate_below
@@ -54,7 +53,7 @@ def polynomials_on_grids(draw):
 def test_grid_values_equal_pointwise_evaluation(case):
     grid, f = case
     values = _grid_values(grid, f)
-    direct = evaluate_many(f, np.array(list(grid_points(grid))))
+    direct = evaluate_many(f, np.array(row_major_points(grid)))
     assert values.shape == (grid.n,)
     scale = sum(abs(c) for c in f.coefficients.values())
     assert np.max(np.abs(values - direct)) <= 1e-13 * scale
@@ -216,7 +215,6 @@ def test_a_grid_of_the_right_dimension_samples_the_true_mean():
 OVER_CAP = RegularGrid((1001, 1000))
 F2 = FourierPolynomial(PARAMS[2], {(0, 0): 1.0, (3, -2): 0.5j})
 SAMPLING_CALLS = {
-    "grid_points": lambda: list(grid_points(OVER_CAP)),
     "sample_mean": lambda: sample_mean(OVER_CAP, F2),
     "aliased_coefficients": lambda: aliased_coefficients(OVER_CAP, F2, [(0, 0), (1, 2)]),
     "integrate": lambda: integrate(GridRule(OVER_CAP), F2),

@@ -3,14 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from conftest import make_params
+from conftest import make_params, row_major_points
 from korobov.errors import CapExceeded, InvalidParameterError
 from korobov.grids import (
     RegularGrid,
     aliased_coefficients,
     dual_coset_sum,
     dual_weight_sum,
-    grid_points,
     sample_mean,
 )
 from korobov.space import FourierPolynomial, basis_function
@@ -26,19 +25,19 @@ def random_poly(params, rng, radius=6, terms=20):
 
 def test_grid_basics():
     g = RegularGrid((2,))
-    assert list(grid_points(g)) == [(0.0,), (0.5,)]
+    assert row_major_points(g) == [(0.0,), (0.5,)]
     g23 = RegularGrid((2, 3))
-    pts = list(grid_points(g23))
+    pts = row_major_points(g23)
     assert len(pts) == 6 == g23.n
     assert len(set(pts)) == 6
     assert pts[0] == (0.0, 0.0) and pts[1] == (0.0, 1 / 3)  # row-major
-    assert list(grid_points(RegularGrid((1, 1)))) == [(0.0, 0.0)]
+    assert row_major_points(RegularGrid((1, 1))) == [(0.0, 0.0)]
     with pytest.raises(InvalidParameterError):
         RegularGrid((0, 2))
     numpy_sized = RegularGrid((np.int64(2), np.int32(3)))
     assert numpy_sized.mesh == (2, 3) and all(type(m) is int for m in numpy_sized.mesh)
     with pytest.raises(CapExceeded):
-        list(grid_points(RegularGrid((1001, 1000))))
+        sample_mean(RegularGrid((1001, 1000)), FourierPolynomial(make_params(0.5, (1, 1), (1, 1)), {}))
 
 
 @pytest.mark.parametrize("mesh", [(2.7, 3), (True,), ("3",), (math.inf, 3), (math.nan, 3)])
@@ -148,6 +147,6 @@ def test_sample_mean_streams_consistently():
                 for h, c in f.coefficients.items()
             )
         )
-        for x in grid_points(g)
+        for x in row_major_points(g)
     ) / g.n
     assert sample_mean(g, f) == pytest.approx(direct, abs=1e-12)

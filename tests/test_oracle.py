@@ -104,7 +104,7 @@ def dense_oracle(alg, trunc_x):
     window = enumerate_below(alg.params, trunc_x, cap=10**6)
     log_w = -alg.params.log_inv_omega
     cosets = {}
-    for e, h in zip(window.member_exponents, window.members):
+    for e, h in zip(window.exponent_array.tolist(), window.members):
         key = tuple(hj % m for hj, m in zip(h, alg.grid.mesh))
         cosets.setdefault(key, []).append(e)
     worst = 0.0

@@ -103,8 +103,8 @@ def test_enumerate_below_is_the_sorted_walk(case):
     expected = sorted(recursive_walk(av, bv, x))
     assert got.count == len(expected) == count_below(params, x)
     assert got.members == tuple(h for _, h in expected)
-    assert exact(got.member_exponents) == exact(e for e, _ in expected)
-    assert got.exponents() == list(got.member_exponents)
+    assert exact(got.exponent_array.tolist()) == exact(e for e, _ in expected)
+    assert got.exponent_array.shape == (got.count,)
     assert got.member_array.shape == (got.count, params.s)
 
 
