@@ -34,9 +34,10 @@ from .grids import DEFAULT_GRID_CAP, RegularGrid
 from .index_set import DEFAULT_SET_CAP, count_below, count_product_bounds, exponent_budget
 from .integration import GridRule, small_n_lower_bound, worst_case_int_error
 from .params import KorobovParams, _number, _read_json, load_params, params_from_config, validate
-# exact_worst_case_error is not called here: the subcommands run the
-# oracle through _oracle_many.  The name stays importable from this module
-# because bench/tracer.py wraps korobov.cli.exact_worst_case_error.
+# exact_worst_case_error and top_eigenvalues are not called here: the
+# subcommands run the oracle through _oracle_many and read e_all by rank
+# selection.  The names stay importable from this module because
+# bench/tracer.py wraps them here.
 from .sampling import (
     DEFAULT_COSET_CAP,
     _oracle_many,
@@ -46,7 +47,7 @@ from .sampling import (
     exact_worst_case_error,
     mesh_for_accuracy,
 )
-from .spectra import top_eigenvalues
+from .spectra import _nth_exponents, top_eigenvalues  # noqa: F401
 from .tractability import analyze, fit_exponential_rate, staircase_corners
 
 _EXIT_OK = 0
@@ -178,8 +179,7 @@ def _cmd_convergence(args) -> int:
     oracles = iter(_oracle_many(jobs, args.cap_set, args.coset_cap))
 
     ns = [n for n, _, bound in rows if bound is not None]
-    spectrum = top_eigenvalues(params, max(ns, default=0) + 1)
-    e_all_of = iter(spectrum.eigenvalues_at(ns))
+    e_all_of = iter(_nth_exponents(params, ns))
     lines = ["n,e_all,e_std_bound,e_std_exact"]
     pairs_all: list[tuple[float, float]] = []
     pairs_std: list[tuple[float, float]] = []
@@ -187,7 +187,7 @@ def _cmd_convergence(args) -> int:
         if bound is None:
             lines.append(f"{n},cap_exceeded,cap_exceeded,cap_exceeded")
             continue
-        e_all = math.sqrt(next(e_all_of))
+        e_all = math.sqrt(math.exp(next(e_all_of) * -params.log_inv_omega))
         oracle = next(oracles)
         exact = "trunc_overflow" if isinstance(oracle, CapExceeded) else oracle.value
         lines.append(",".join(_fmt(c) for c in (n, e_all, bound, exact)))

@@ -200,7 +200,7 @@ class PowerFamily(SequenceFamily):
         try:
             return self.c * float(j) ** self.k
         except OverflowError:
-            return _exp_past_floats(lambda: math.log(self.c) + self.k * math.log(j))
+            return _exp_past_floats(self.c, self.k, math.log(j))
 
     def log_growth(self) -> float:
         # log(c j^k)/j -> 0 for any fixed k.
@@ -211,10 +211,12 @@ class PowerFamily(SequenceFamily):
             return Interval(INFINITE, INFINITE)
         # Partial sum plus integral bracket for the tail:
         # int_{N+1}^inf t^-k dt <= sum_{j>N} j^-k <= int_N^inf t^-k dt.
+        # fsum is exactly rounded: fed in blocks, it sums what one array would
         n_partial = max(start, 100_000)
         with np.errstate(over="ignore"):
-            terms = 1.0 / (self.c * np.arange(start, n_partial + 1, dtype=float) ** self.k)
-        partial = math.fsum(terms.tolist())
+            firsts = range(start, n_partial + 1, 4096)
+            blocks = (np.arange(j, min(j + 4096, n_partial + 1), dtype=float) for j in firsts)
+            partial = math.fsum(t for js in blocks for t in (1.0 / (self.c * js**self.k)).tolist())
         tail_hi = n_partial ** (1.0 - self.k) / (self.c * (self.k - 1.0))
         tail_lo = (n_partial + 1.0) ** (1.0 - self.k) / (self.c * (self.k - 1.0))
         # Each term carries at most four roundings (power, product,
@@ -251,7 +253,7 @@ class GeometricFamily(SequenceFamily):
         try:
             return self.c * self.r**j
         except OverflowError:  # r**j past the float range; c * r**j may not be
-            return _exp_past_floats(lambda: math.log(self.c) + j * math.log(self.r))
+            return _exp_past_floats(self.c, math.log(self.r), j)
 
     def log_growth(self) -> float:
         return math.log(self.r) if self.r >= 1 else -INFINITE
@@ -283,7 +285,7 @@ class ExponentialFamily(SequenceFamily):
         try:
             return self.c * math.exp(self.alpha * j)
         except OverflowError:  # exp(alpha j) past the float range; c exp(alpha j) may not be
-            return _exp_past_floats(lambda: math.log(self.c) + self.alpha * j)
+            return _exp_past_floats(self.c, self.alpha, j)
 
     def log_growth(self) -> float:
         return self.alpha
@@ -403,12 +405,15 @@ class ExplicitFamily(SequenceFamily):
         return rest if rest == INFINITE else max(best, int(rest))  # an int may be past the float range
 
 
-def _exp_past_floats(log_term) -> float:
-    """e**log_term(), or inf where that or log_term() itself overflows."""
+def _exp_past_floats(c: float, rate: float, t) -> float:
+    """c * e**(rate * t) in log space, for a term whose float form overflowed:
+    c at rate 0; past the float range, inf at a positive rate, else 0.0."""
+    if rate == 0.0:
+        return c
     try:
-        return math.exp(log_term())
+        return math.exp(math.log(c) + rate * t)
     except OverflowError:
-        return INFINITE
+        return INFINITE if rate > 0.0 else 0.0
 
 
 def _int_exp(log_j: float) -> int:

@@ -391,25 +391,35 @@ def _top_sq_brackets(
     undecided probes in a row, or once its bracket is within
     ``_SETTLED`` resolutions.
 
-    lo starts at the largest row or column norm**2 (a Rayleigh quotient),
-    hi at 2 * ||M||_F**2; a group without kept entries is diagonal and
-    exact.  ``owner[g]`` is the job of group g (``None``: one job), and
+    A lone kept entry (sigma**2 = 0) and a group without kept entries
+    (diagonal, at its largest weight) are exact: lo = hi is set before any
+    per-group state is allocated.  For the others lo starts at the largest
+    row or column norm**2 (a Rayleigh quotient), hi at 2 * ||M||_F**2.
+    ``owner[g]`` is the job of group g (``None``: one job), and
     each job's maximum is taken apart: a group whose hi falls below the
     largest lo of its job cannot hold that maximum and stops early with a
     valid but wider bracket.  Every group's probes, and so its lo and hi,
     are those of a call on its job alone.
     """
     size = np.bincount(ids, minlength=n_groups)
-    start = np.cumsum(size) - size
     p = np.bincount(ids, weights=kept, minlength=n_groups)
+    out_lo = np.where(p == 0, sq[np.cumsum(size) - size], 0.0)
+    out_hi = out_lo.copy()
+    owner = np.zeros(n_groups, dtype=np.int64) if owner is None else np.asarray(owner)
+    floor = np.zeros(int(owner.max(initial=-1)) + 1)  # per job, the largest lo so far
+    np.maximum.at(floor, owner, out_lo)
+    opened = (size > 1) & (p > 0)
+    entry = opened[ids]
+    sq, kept, ids = sq[entry], kept[entry], (np.cumsum(opened) - 1)[ids[entry]]
+    size, p, owner, n_groups = size[opened], p[opened], owner[opened], int(opened.sum())
+
+    start = np.cumsum(size) - size
     n = size.astype(float)
     kept_sq = np.where(kept, sq, 0.0)
     kept_total = np.bincount(ids, weights=kept_sq, minlength=n_groups)
     disc_total = np.bincount(ids, weights=sq - kept_sq, minlength=n_groups)
     n_kept = p.astype(np.int64)
-    has_kept = n_kept > 0
-    kept_max = np.where(has_kept, sq[start], 0.0)
-    kept_min = np.where(has_kept, sq[start + np.maximum(n_kept - 1, 0)], 0.0)
+    kept_max, kept_min = sq[start], sq[start + n_kept - 1]
     disc_max = np.where(n_kept < size, sq[np.minimum(start + n_kept, sq.size - 1)], 0.0)
 
     # Rayleigh quotients, each rounded down: discarded rows (w_i**2),
@@ -422,12 +432,12 @@ def _top_sq_brackets(
             disc_max,
             disc_max * (p + 1.0) * down,
             kept_max * (p - 1.0) * down,
-            np.where(has_kept, kept_row, 0.0),
+            kept_row,
         ]
     )
     # ||M||_F**2 = (p - 1) * kept total + (p + 1) * discarded total, with a
     # rounding error far below the factor 2.
-    hi = np.where(has_kept, 2.0 * ((p - 1.0) * kept_total + (p + 1.0) * disc_total), disc_max)
+    hi = 2.0 * ((p - 1.0) * kept_total + (p + 1.0) * disc_total)
 
     # Arrays of the live groups and their entries, kept and discarded
     # apart; k_id and d_id index the live groups.  Per group, guess is
@@ -439,8 +449,6 @@ def _top_sq_brackets(
     guess, step, res = np.full(n_groups, np.nan), np.full(n_groups, np.inf), np.zeros(n_groups)
     k_sq, k_id = sq[kept], ids[kept]
     d_sq, d_id = sq[~kept], ids[~kept]
-    owner = np.zeros(n_groups, dtype=np.int64) if owner is None else np.asarray(owner)
-    floor = np.zeros(int(owner.max(initial=-1)) + 1)  # per job, the largest lo so far
     np.maximum.at(floor, owner, lo)
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -538,7 +546,8 @@ def _top_sq_brackets(
             res = np.where(~decided & (resolution < np.inf), resolution, res)
             lo[groups], hi[groups] = lo_l, hi_l
             np.maximum.at(floor, owner, lo_l)
-    return lo, hi
+    out_lo[opened], out_hi[opened] = lo, hi
+    return out_lo, out_hi
 
 
 _ORACLE_TOL = 1e-13  # of the space's nonzero mass, which bounds the oracle's tail
@@ -604,7 +613,8 @@ def _oracle_many(
     call on its job alone.  A job whose window exceeds ``cap_set`` or
     whose largest coset exceeds ``coset_cap`` gets that
     :class:`CapExceeded` in place of its result; a trunc_x at or below a
-    job's threshold raises before any window is walked.
+    job's threshold raises before any window is walked.  Cosets of one
+    member or without a kept one are exact in closed form, never probed.
     """
     for alg, trunc_x in jobs:
         if alg.params != jobs[0][0].params:

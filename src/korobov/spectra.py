@@ -10,12 +10,15 @@ The k largest weights come from count and walk: the exact count fixes
 a budget holding at least k frequencies and the array walk of
 ``index_set`` lists them once.  They are ordered only when read in
 order, by one lexsort by (exponent, frequency vector), so ties at the
-cut keep that global order; the n-th weight alone is one partition.
+cut keep that global order.  The n-th weight alone is read by rank
+selection on the walk's frontier and a shell of a few thousand
+frequencies (``_nth_exponents``), in memory that does not grow with n.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
@@ -24,7 +27,8 @@ import numpy as np
 
 from ._series import log_product_ceiling
 from .errors import InvalidParameterError
-from .index_set import _count, _sorted, _walk, count_below, exponent_budget, weight_exponent
+from .index_set import _count, _pow_term, _reach, _sorted, _walk
+from .index_set import count_below, exponent_budget, weight_exponent
 from .params import KorobovParams, a_values, b_values
 from .space import FourierPolynomial
 
@@ -49,13 +53,11 @@ class Spectrum:
     are the first k rows by (exponent, frequency vector), so ties are
     ordered lexicographically by frequency vector for determinism.
     ``eigenvalues``, ``indices`` and ``exponents`` are the same rows as
-    tuples (eigenvalue = omega**exponent).  ``eigenvalue(n)`` and
-    ``log_inv_error(n)`` need no order: they read the n-th smallest
-    exponent by one partition, the same float whatever the tie order, and
-    ``eigenvalues_at(ns)`` reads several by one multi-index partition.
-    Deep spectra underflow in linear scale, so rate computations should
-    read the exponents.  A spectrum is fixed by ``params`` and ``k``, so
-    equality reads those only.
+    tuples (eigenvalue = omega**exponent); deep spectra underflow in linear
+    scale, so rates should read the exponents.  One weight needs no
+    spectrum: ``nth_minimal_error`` reads it by rank selection, in memory
+    that grows with the walk's frontier and a shell only.  A spectrum is
+    fixed by ``params`` and ``k``, so equality reads those only.
     """
 
     params: KorobovParams
@@ -75,29 +77,6 @@ class Spectrum:
     def member_array(self) -> np.ndarray:
         return self.walk_members[self._order]
 
-    def _nth_exponents(self, ns: Sequence[int]) -> list[float]:
-        """The (n+1)-st smallest exponents, indexed like ``exponent_array[n]``,
-        by one partition at every n."""
-        for n in ns:
-            if not -self.k <= n < self.k:
-                raise IndexError(f"index {n} is out of bounds for a spectrum of {self.k} weights")
-        ns = [n % self.k for n in ns]
-        if not ns:
-            return []
-        part = np.partition(self.walk_exponents, sorted(set(ns)))
-        return [float(part[n]) for n in ns]
-
-    def _nth_exponent(self, n: int) -> float:
-        return self._nth_exponents([n])[0]
-
-    def eigenvalue(self, n: int) -> float:
-        """The (n+1)-st largest weight, omega**exponent in linear scale."""
-        return math.exp(self._nth_exponent(n) * -self.params.log_inv_omega)
-
-    def eigenvalues_at(self, ns: Sequence[int]) -> list[float]:
-        """``[eigenvalue(n) for n in ns]``, the same floats, by one partition."""
-        return [math.exp(e * -self.params.log_inv_omega) for e in self._nth_exponents(ns)]
-
     @cached_property
     def eigenvalues(self) -> tuple[float, ...]:
         log_w = -self.params.log_inv_omega
@@ -110,14 +89,6 @@ class Spectrum:
     @cached_property
     def exponents(self) -> tuple[float, ...]:
         return tuple(self.exponent_array.tolist())
-
-    @property
-    def top(self) -> list[tuple[float, tuple[int, ...]]]:
-        return list(zip(self.eigenvalues, self.indices))
-
-    def log_inv_error(self, n: int) -> float:
-        """log(1/e(n)) for the n-th minimal error, exact in log scale."""
-        return 0.5 * self._nth_exponent(n) * self.params.log_inv_omega
 
     def __len__(self) -> int:
         return self.k
@@ -165,17 +136,71 @@ def top_eigenvalues(params: KorobovParams, k: int) -> Spectrum:
     return Spectrum(params=params, k=k, walk_exponents=exponents, walk_members=members)
 
 
+# A shell of at most this many frequencies is listed and partitioned.
+_SHELL = 4096
+
+
+def _nth_exponents(params: KorobovParams, ns: Sequence[int]) -> list[float]:
+    """The float at position n of the sorted walk, for each n >= 0 in ns.
+
+    The walk's frontier holds the partial sums acc_i over coordinates
+    1..s-1 below a budget x with max(ns) + 1 frequencies, and with the last
+    coordinate's terms T_h (``_pow_term``) each exponent below x is the
+    walk's float acc_i + T_h.  The rank of y <= x is the sum of 2 c_i - 1
+    over c_i = #{h >= 0 : acc_i + T_h < y} >= 1, settled by that strict
+    comparison.  y is bisected until [lo, hi) holds the n-th exponent among
+    at most ``_SHELL`` frequencies, partitioned there, or one float, lo.
+    """
+    if not ns:
+        return []
+    av, bv = a_values(params), b_values(params)
+    x = _budget_for(av, bv, max(ns) + 1)
+    acc, mult = np.unique(_walk(av[:-1], bv[:-1], x)[0], return_counts=True)
+    a, b = av[-1], bv[-1]
+    terms = np.array([0.0] + [_pow_term(a, h, b) for h in range(1, _reach(a, b, 0.0, x) + 2)])
+
+    def below(y: float) -> tuple[np.ndarray, int]:  # (c_i, rank) for y <= x <= terms[-1]
+        c = np.searchsorted(terms, y - acc)
+        while (up := acc + terms[c] < y).any():
+            c += up
+        while (down := (c > 0) & ~(acc + terms[c - 1] < y)).any():
+            c -= down
+        return c, int(mult @ np.maximum(2 * c - 1, 0))
+
+    found, top = {}, below(x)
+    for n in sorted(set(ns)):
+        lo, c_lo, r_lo = 0.0, np.zeros(acc.size, dtype=np.int64), 0
+        hi, (c_hi, r_hi) = x, top
+        while r_hi - r_lo > _SHELL and lo < 0.5 * (lo + hi) < hi:
+            mid = 0.5 * (lo + hi)
+            c, r = below(mid)
+            if r <= n:
+                lo, c_lo, r_lo = mid, c, r
+            else:
+                hi, c_hi, r_hi = mid, c, r
+        found[n] = lo  # unless a shell is listed, [lo, hi) holds the one float lo
+        if r_hi - r_lo <= _SHELL:  # acc_i + T_h for c_lo <= h < c_hi, h >= 1 twice (+-h)
+            width = c_hi - c_lo
+            row = np.repeat(np.arange(acc.size), width)
+            h = np.arange(row.size) - (np.cumsum(width) - width - c_lo)[row]
+            shell = np.repeat(acc[row] + terms[h], mult[row] * np.where(h > 0, 2, 1))
+            found[n] = float(np.partition(shell, n - r_lo)[n - r_lo])
+    return [found[n] for n in ns]
+
+
 def nth_minimal_error(params: KorobovParams, n: int) -> float:
     """Best worst-case error after n optimally chosen linear functionals.
 
     The zero-information error is 1; afterwards it is the square root of
-    the (n+1)-st sorted weight.
+    the (n+1)-st sorted weight, read by rank selection in memory that
+    grows with the walk's frontier and a shell only, not with n.
     """
-    if n < 0:
-        raise InvalidParameterError("term_undefined", f"n must be nonnegative, got {n}")
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 0:
+        raise InvalidParameterError("term_undefined", f"n must be a nonnegative integer, got {n!r}")
     if n == 0:
         return 1.0
-    return math.sqrt(top_eigenvalues(params, n + 1).eigenvalue(n))
+    (e,) = _nth_exponents(params, [int(n)])
+    return math.sqrt(math.exp(e * -params.log_inv_omega))
 
 
 def information_complexity(params: KorobovParams, eps: float) -> int:

@@ -10,6 +10,13 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
+
+# One BLAS/OpenMP thread, as bench/run.py pins it: threaded BLAS beside
+# one other busy process slows the suite several times.  This must run
+# before numpy is first imported.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
 
 import numpy as np
 import pytest

@@ -104,8 +104,8 @@ def test_criterion_03_rate_law():
     for s, bs in cases:
         params = make_params(0.5, (1,) * s, bs)
         b_sum = sum(1.0 / b for b in bs)
-        spectrum = top_eigenvalues(params, 5002)
-        pairs = [(n, spectrum.log_inv_error(n)) for n in range(50, 5001)]
+        exponents = top_eigenvalues(params, 5002).exponent_array.tolist()
+        pairs = [(n, 0.5 * exponents[n] * params.log_inv_omega) for n in range(50, 5001)]
         fit = fit_exponential_rate_log(staircase_corners(pairs))
         assert abs(fit.slope - 1.0 / b_sum) <= 0.15 / b_sum, (s, bs, fit.slope)
         fitted.append(f"s={s},b={bs}: p={fit.slope:.3f} vs {1/b_sum:.3f}")

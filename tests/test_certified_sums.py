@@ -51,6 +51,36 @@ def test_power_reciprocal_sum_contains_zeta(c, k):
         assert interval.hi - interval.lo <= 1e-7 * interval.hi
 
 
+def one_array_reciprocal_sum(c, k, start):
+    """PowerFamily.reciprocal_sum with its partial sum taken over one array
+    of every term, as it was before the terms were fed to fsum in blocks."""
+    n_partial = max(start, 100_000)
+    partial = math.fsum((1.0 / (c * np.arange(start, n_partial + 1, dtype=float) ** k)).tolist())
+    tail_hi = n_partial ** (1.0 - k) / (c * (k - 1.0))
+    tail_lo = (n_partial + 1.0) ** (1.0 - k) / (c * (k - 1.0))
+    err = 8.0 * 2.0**-53 * partial + (abs((1.0 - k) * math.log(n_partial + 1.0)) + 8.0) * 2.0**-53 * tail_hi
+    return math.nextafter(partial + tail_lo - err, -math.inf), math.nextafter(partial + tail_hi + err, math.inf)
+
+
+@pytest.mark.parametrize("c,k,start", [(1.5, 1.3, 1), (1.0, 2.0, 3), (2.0, 1.01, 7), (0.001, 1.2, 5), (1.0, 3.5, 100_000)])
+def test_power_reciprocal_sum_in_blocks_is_the_one_array_sum(c, k, start):
+    # fsum is exactly rounded, so its input's blocking cannot move the sum
+    interval = PowerFamily(c, k).reciprocal_sum(start)
+    assert (interval.lo, interval.hi) == one_array_reciprocal_sum(c, k, start)
+
+
+def test_power_reciprocal_sum_does_not_hold_every_term():
+    # the 100,000 terms as one array and its list held 3.8 MiB
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        PowerFamily(1.5, 1.3).reciprocal_sum()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - start <= 0.5 * 2**20
+
+
 @pytest.mark.parametrize("c", [0.7, 1.0, 1.3, 2.5, 3.0])
 @pytest.mark.parametrize("r", [1.5, 2.0, 3.0, 7.0])
 def test_geometric_reciprocal_sum_contains_closed_form(c, r):

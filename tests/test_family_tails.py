@@ -375,6 +375,23 @@ def test_a_small_power_coefficient_reaches_the_true_boundary(family, x, bits):
 
 
 @pytest.mark.parametrize(
+    "family,term",
+    [
+        (GeometricFamily(1.0, 0.5), 0.0),
+        (GeometricFamily(1.0, 1.0), 1.0),
+        (ExponentialFamily(1.0, -0.5), 0.0),
+        (ExponentialFamily(2.5, 0.0), 2.5),
+        (PowerFamily(3.0, 0.0), 3.0),
+    ],
+    ids=repr,
+)
+def test_terms_without_growth_stay_finite_past_the_float_range(family, term):
+    # j = 2**1100 is past the float range, so r**j, alpha * j and j**k
+    # overflow; a growth rate of 0 keeps c and a negative one shrinks to 0
+    assert family.term(2**1100) == term
+
+
+@pytest.mark.parametrize(
     "family,x,j",
     [(GeometricFamily(1e-300, 2.0), 1e10, 1029), (ExponentialFamily(1e-300, 1.0), 1e10, 713)],
     ids=repr,

@@ -3,8 +3,9 @@
 ``tests/golden`` holds the README demo config and an s = 3 real-weight
 config with the output of every subcommand on each, captured before the
 oracle ran all of a run's grids in one bracket loop.  The bytes must not
-move: the batched oracle, the shared windows and the one-partition
-reading of ``e_all`` change how the numbers are reached, not the numbers.
+move: the batched oracle, the shared windows, the closed-form cosets and
+the rank-selection reading of ``e_all`` change how the numbers are
+reached, not the numbers.
 The s = 3 ``integrate`` run also holds a mesh over the coset cap.
 """
 

@@ -1,9 +1,9 @@
 """Index sets and spectra keep the walk and sort it on first read.
 
 Their ordered views must be the (E(h), h) order bit for bit, and the
-n-th eigenvalue, read by a partition without any sort, must be the float
-at position n of that order, also inside tie blocks and at a k that
-ends exactly on a lattice exponent.
+n-th exponent, read by rank selection without any sort, must be the
+float at position n of that order, also inside tie blocks and at a k
+that ends exactly on a lattice exponent.
 """
 
 import math
@@ -16,7 +16,7 @@ from korobov.grids import RegularGrid
 from korobov.index_set import _sorted, _walk, count_below, enumerate_below
 from korobov.params import a_values, b_values
 from korobov.sampling import build_std_algorithm, exact_worst_case_error
-from korobov.spectra import nth_minimal_error, top_eigenvalues
+from korobov.spectra import _nth_exponents, nth_minimal_error, top_eigenvalues
 
 
 def sorted_rows(exponents, members):
@@ -53,26 +53,14 @@ def test_a_set_is_sorted_only_when_read_in_order():
 def check_spectrum(params, k):
     spectrum = top_eigenvalues(params, k)
     assert len(spectrum.walk_exponents) >= k
+    assert not any(name in vars(spectrum) for name in ("_order", "exponent_array", "member_array"))
     order = _sorted(spectrum.walk_exponents, spectrum.walk_members)[:k]
     expected = spectrum.walk_exponents[order]
-    log_w = -params.log_inv_omega
-    # a fresh spectrum answers by partition; nothing is sorted or cached
-    fresh = top_eigenvalues(params, k)
-    for n in range(k):
-        assert fresh.eigenvalue(n) == math.exp(float(expected[n]) * log_w)
-        assert fresh.log_inv_error(n) == 0.5 * float(expected[n]) * params.log_inv_omega
-    assert "exponent_array" not in vars(fresh)
     assert np.array_equal(spectrum.exponent_array, expected)
     assert np.array_equal(spectrum.member_array, spectrum.walk_members[order])
     assert spectrum.exponents == tuple(expected.tolist())
-    # sorting the views leaves the answers as they were
-    assert [spectrum.eigenvalue(n) for n in range(k)] == [fresh.eigenvalue(n) for n in range(k)]
-    for read in (spectrum, fresh):
-        with pytest.raises(IndexError):
-            read.eigenvalue(k)
-        with pytest.raises(IndexError):
-            read.log_inv_error(k + 3)
-    assert fresh.eigenvalue(-1) == fresh.eigenvalue(k - 1)
+    # rank selection reads the same floats without any walk of k
+    assert _nth_exponents(params, range(k)) == expected.tolist()
     return spectrum
 
 
@@ -90,7 +78,7 @@ def test_eigenvalue_at_k_ending_on_a_lattice_exponent(x):
     k = count_below(params, x)
     spectrum = check_spectrum(params, k)
     assert float(spectrum.exponent_array[-1]) < x
-    assert nth_minimal_error(params, k - 1) == math.sqrt(spectrum.eigenvalue(k - 1))
+    assert nth_minimal_error(params, k - 1) == math.sqrt(spectrum.eigenvalues[k - 1])
 
 
 def test_spectrum_views_on_random_instances(rng):

@@ -178,3 +178,67 @@ def test_invalid_jobs_raise_before_any_walk():
     other = build_std_algorithm(make_params(0.4, (1.0, 1.3), (1.0, 1.2)), 6.0, RegularGrid((2, 2)))
     with pytest.raises(InvalidParameterError):
         _oracle_many([(alg, 20.0), (other, 20.0)])
+
+
+def dense_top_sq(sq, kept):
+    w = np.sqrt(sq)
+    matrix = np.diag(w) - np.outer(kept.astype(float), w)
+    return float(np.linalg.svd(matrix, compute_uv=False)[0]) ** 2
+
+
+def mixed_cosets(rng, count):
+    """(sq, kept) cosets, sq descending with the kept ones first: lone
+    kept and lone discarded members, cosets with no kept member, and
+    cosets of two to seven members with one or more kept."""
+    cosets = []
+    for kind in rng.integers(0, 4, size=count):
+        size = 1 if kind < 2 else int(rng.integers(2, 8))
+        p = [1, 0, 0, int(rng.integers(1, size + 1))][kind]
+        sq = np.sort(2.0 ** -rng.uniform(0.0, 30.0, size))[::-1]
+        cosets.append((sq, np.arange(size) < p))
+    return cosets
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_closed_form_cosets_in_a_batch_match_the_dense_svd(seed):
+    rng = np.random.default_rng(3000 + seed)
+    jobs = [mixed_cosets(rng, int(rng.integers(1, 25))) for _ in range(3)]
+    parts = []
+    for cosets in jobs:
+        sizes = [sq.size for sq, _ in cosets]
+        parts.append((
+            np.concatenate([sq for sq, _ in cosets]),
+            np.concatenate([kept for _, kept in cosets]),
+            np.repeat(np.arange(len(cosets)), sizes),
+            len(cosets),
+        ))
+    args, starts = batch(parts)
+    lo, hi = _top_sq_brackets(*args)
+    for cosets, part, a, b in zip(jobs, parts, starts, starts[1:]):
+        lo_1, hi_1 = _top_sq_brackets(*part)
+        assert lo[a:b].tobytes() == lo_1.tobytes() and hi[a:b].tobytes() == hi_1.tobytes()
+        top = int(np.argmax(lo_1))
+        for g, (sq, kept) in enumerate(cosets):
+            ref = dense_top_sq(sq, kept)
+            slack = sq.size * 2.0**-53 * ref
+            assert lo_1[g] - slack <= ref <= hi_1[g] + slack
+            if sq.size == 1 or not kept.any():
+                # exact: sigma**2 is the largest weight, or 0 for a lone kept member
+                assert lo_1[g] == hi_1[g] == (0.0 if kept.any() else sq[0])
+        # the job's maximum is bracketed to a few ulps
+        assert hi_1[top] - lo_1[top] <= 1e-12 * hi_1[top]
+
+
+def test_a_closed_form_coset_still_stops_the_lighter_cosets_of_its_job():
+    # the open coset's start hi, 2 ||M||_F**2 = 3 * 2**-40, is below the
+    # discarded lone member's exact 1.0, so it cannot hold the job's
+    # maximum and is never probed; alone it is bracketed tightly
+    sq = 2.0**-40 * np.array([1.0, 0.5, 0.25])
+    kept = np.array([True, False, False])
+    lo_1, hi_1 = _top_sq_brackets(sq, kept, np.zeros(3, dtype=np.int64), 1)
+    lo, hi = _top_sq_brackets(
+        np.concatenate(([1.0], sq)), np.concatenate(([False], kept)), np.array([0, 1, 1, 1]), 2
+    )
+    assert lo[0] == hi[0] == 1.0
+    assert hi[1] == 3.0 * 2.0**-40
+    assert hi_1[0] - lo_1[0] <= 1e-12 * hi_1[0] < hi[1] - lo[1]

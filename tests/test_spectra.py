@@ -38,7 +38,7 @@ def test_top_eigenvalues_examples():
     assert spec2.indices == ((0, 0), (-1, 0), (1, 0))
 
     one = top_eigenvalues(p2, 1)
-    assert one.top == [(1.0, (0, 0))]
+    assert (one.eigenvalues, one.indices) == ((1.0,), ((0, 0),))
 
 
 def test_top_eigenvalues_against_brute_force(rng):

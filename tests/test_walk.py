@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, given, settings
 
 from conftest import brute_force_members, make_params
 from korobov.index_set import _count, _enumerate, _exponent, _pow_term, _reach, _walk, count_below, enumerate_below
-from korobov.spectra import nth_minimal_error, top_eigenvalues
+from korobov.spectra import _nth_exponents, nth_minimal_error, top_eigenvalues
 
 WORK_CAP = 4000
 
@@ -131,7 +131,7 @@ def assert_spectrum(params, k):
     assert got.indices == tuple(h for _, h in expected)
     assert exact(got.exponents) == exact(e for e, _ in expected)
     assert got.eigenvalues == tuple(math.exp(e * log_w) for e, _ in expected)
-    assert all(got.eigenvalue(n) == got.eigenvalues[n] for n in range(k))
+    assert _nth_exponents(params, range(k)) == list(got.exponents)
 
 
 SPECTRUM_SPACES = [
