@@ -45,7 +45,6 @@ from .params import (
     SequenceFamily,
     load_params,
     params_from_config,
-    params_to_config,
     validate,
 )
 from .sampling import (

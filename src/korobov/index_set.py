@@ -3,13 +3,16 @@
 The frequencies h with weight omega**E(h) above a threshold are exactly
 those with E(h) = sum_j a_j*|h_j|**b_j below a budget x; the budget that
 corresponds to accuracy eps is log(eps^-2)/log(omega^-1).  Cardinalities
-are computed by a dimension recurrence and bracketed by closed-form
-products.  Members come from one walk held as arrays (``_walk``): a
-frontier of partial sums is extended one coordinate at a time, so
-enumeration, the spectrum and the oracle's window each get an exponent
-array and a member array without building a tuple per frequency.  The
-walk is kept in walk order; a set is sorted by (E(h), h) only when its
-members are first read in that order.
+are exact Python ints, read from one iterative frontier (``_frontier``):
+each distinct partial sum over the leading coordinates with the number of
+prefixes that form it, closed over the last two coordinates by
+``_reach``.  No recursion is involved, so any dimension is counted.  They
+are bracketed by closed-form products.  Members come from one walk held
+as arrays (``_walk``): the walk's own frontier keeps every prefix, not
+one entry per partial sum, so enumeration, the spectrum and the oracle's
+window each get an exponent array and a member array without building a
+tuple per frequency.  The walk is kept in walk order; a set is sorted by
+(E(h), h) only when its members are first read in that order.
 
 Every threshold decision in the package is made here, by one
 arithmetic: E(h) is accumulated left to right over coordinates 1..s,
@@ -112,37 +115,60 @@ def _reach(a: float, b: float, acc: float, x: float) -> int:
     return k
 
 
-def _count(av: Sequence[float], bv: Sequence[float], x: float) -> int:
-    """|{h in Z^s : E(h) < x}| by a forward recursion over coordinates.
+def _frontier(av: Sequence[float], bv: Sequence[float], x: float) -> dict[float, int]:
+    """Each partial sum over the coordinates of av below x, with the number
+    of prefixes (h_1, ..., h_k) that form it.
 
-    A subproblem is fixed by the partial sum of the coordinates already
-    chosen and the next coordinate, so memoizing on (acc, dim) is sound;
-    the last coordinate is closed by ``_reach``.
+    Extended coordinate by coordinate: an entry acc of multiplicity m keeps
+    acc (h = 0) with m and adds acc + a*h**b, h = 1.._reach, with 2m (+-h).
+    These are the walk's left-to-right floats, so equal partial sums merge
+    exactly where a recursion memoized on (acc, coordinate) would.  This is
+    the only place that merges partial sums.
+    """
+    front = {0.0: 1}
+    for a, b in zip(av, bv):
+        ahead: dict[float, int] = {}
+        for acc, m in front.items():
+            ahead[acc] = ahead.get(acc, 0) + m
+            for h in range(1, _reach(a, b, acc, x) + 1):
+                e = acc + _pow_term(a, h, b)
+                ahead[e] = ahead.get(e, 0) + 2 * m
+        front = ahead
+    return front
+
+
+def _count(av: Sequence[float], bv: Sequence[float], x: float) -> int:
+    """|{h in Z^s : E(h) < x}|, exact at any dimension.
+
+    The frontier over coordinates 1..s-2 is closed per entry: each h_{s-1}
+    whose partial sum stays below x contributes the 2*_reach + 1 values of
+    h_s left below x.  Closing two coordinates, not one, keeps the
+    frontier small: the one over 1..s-1 is as large as the walk of s-1
+    coordinates.  Raises for an infinite x; NaN and x <= 0 hold nothing.
     """
     x = float(x)
-    last = len(av) - 1
-    memo: dict[tuple[float, int], int] = {}
-
-    def rec(acc: float, dim: int) -> int:
-        a, b = av[dim], bv[dim]
-        if dim == last:
-            return 2 * _reach(a, b, acc, x) + 1
-        key = (acc, dim)
-        total = memo.get(key)
-        if total is None:
-            total = rec(acc, dim + 1)
-            for h in range(1, _reach(a, b, acc, x) + 1):
-                total += 2 * rec(acc + _pow_term(a, h, b), dim + 1)
-            memo[key] = total
-        return total
-
-    return rec(0.0, 0) if x > 0.0 else 0
+    if x == math.inf:
+        raise InvalidParameterError("term_undefined", f"budget x must be finite, got x = {x}")
+    if not x > 0.0:
+        return 0
+    if len(av) == 1:
+        return 2 * _reach(av[0], bv[0], 0.0, x) + 1
+    (a1, a2), (b1, b2) = av[-2:], bv[-2:]
+    total = 0
+    for acc, m in _frontier(av[:-2], bv[:-2], x).items():
+        inner = 2 * _reach(a2, b2, acc, x) + 1
+        for h in range(1, _reach(a1, b1, acc, x) + 1):
+            inner += 4 * _reach(a2, b2, acc + _pow_term(a1, h, b1), x) + 2
+        total += m * inner
+    return total
 
 
 def count_below(params: KorobovParams, x: float) -> int:
     """Number of frequencies with exponent strictly below x.
 
-    Returns 0 for x <= 0 and 1 (the origin alone) for x in (0, a_1].
+    Returns 0 for x <= 0 or NaN and 1 (the origin alone) for x in
+    (0, a_1]; an infinite x raises ``InvalidParameterError``.  Exact at
+    any dimension (``_count``).
     """
     return _count(a_values(params), b_values(params), x)
 

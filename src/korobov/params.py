@@ -36,9 +36,7 @@ __all__ = [
     "Interval",
     "validate",
     "family_from_config",
-    "family_to_config",
     "params_from_config",
-    "params_to_config",
     "load_params",
 ]
 
@@ -583,19 +581,6 @@ def family_from_config(obj, path: str = "") -> SequenceFamily:
         raise ConfigError(sub("tail"), f"expected 'repeat', a family object, or null, got {tail!r}") from exc
 
 
-def _config_value(value):
-    if isinstance(value, SequenceFamily):
-        return family_to_config(value)
-    return list(value) if isinstance(value, tuple) else value
-
-
-def family_to_config(family: SequenceFamily) -> dict:
-    for kind, (cls, fields) in _KINDS.items():
-        if isinstance(family, cls):
-            return {"family": kind, **{key: _config_value(getattr(family, key)) for key in fields}}
-    raise TypeError(f"not a serializable family: {family!r}")
-
-
 def params_from_config(obj, path: str = "") -> KorobovParams:
     if not isinstance(obj, dict):
         raise ConfigError(path, f"expected an object with omega/s/a/b, got {obj!r}")
@@ -610,15 +595,6 @@ def params_from_config(obj, path: str = "") -> KorobovParams:
         return validate(KorobovParams(omega=omega, a=a, b=b, s=s_raw))
     except InvalidParameterError as exc:
         raise ConfigError(path or "<params>", str(exc)) from exc
-
-
-def params_to_config(params: KorobovParams) -> dict:
-    return {
-        "omega": params.omega,
-        "s": params.s,
-        "a": family_to_config(params.a),
-        "b": family_to_config(params.b),
-    }
 
 
 def _read_json(path):

@@ -6,13 +6,15 @@ The n-th minimal error with unrestricted linear information is the
 square root of the (n+1)-st sorted weight, and the number of weights
 above eps**2 is the information complexity at accuracy eps.
 
-The k largest weights come from count and walk: the exact count fixes
-a budget holding at least k frequencies and the array walk of
-``index_set`` lists them once.  They are ordered only when read in
-order, by one lexsort by (exponent, frequency vector), so ties at the
-cut keep that global order.  The n-th weight alone is read by rank
-selection on the walk's frontier and a shell of a few thousand
-frequencies (``_nth_exponents``), in memory that does not grow with n.
+The n-th weight alone is read by rank selection (``_nth_exponents``) on
+the frontier of ``index_set`` (each distinct partial sum over
+coordinates 1..s-1 with its multiplicity) and a shell of a few thousand
+frequencies, in memory that does not grow with n; in one dimension it
+is a closed form.  The k largest weights come from rank selection and
+walk: the k-th exponent e is read so, and the array walk of
+``index_set`` lists every frequency with exponent <= e once.  They are
+ordered only when read in order, by one lexsort by (exponent, frequency
+vector), so ties at the cut keep that global order.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import numpy as np
 
 from ._series import log_product_ceiling
 from .errors import InvalidParameterError
-from .index_set import _count, _pow_term, _reach, _sorted, _walk
+from .index_set import _count, _frontier, _pow_term, _reach, _sorted, _walk
 from .index_set import count_below, exponent_budget, weight_exponent
 from .params import KorobovParams, a_values, b_values
 from .space import FourierPolynomial
@@ -46,7 +48,7 @@ __all__ = [
 class Spectrum:
     """The k largest weights with their frequencies.
 
-    Held as the walk below a budget that holds at least k frequencies
+    Held as the walk of every frequency with exponent at most the k-th
     (``walk_exponents``, ``walk_members``, in walk order), sorted on
     first read: ``exponent_array`` (float64, nondecreasing, starting at 0
     for the origin) and ``member_array`` (int64, one frequency per row)
@@ -94,45 +96,28 @@ class Spectrum:
         return self.k
 
 
-def _budget_for(av: tuple[float, ...], bv: tuple[float, ...], k: int) -> float:
-    """A budget x with k <= _count(av, bv, x) <= about 1.25 k.
-
-    The budget doubles until the count reaches k and is then bisected
-    down.  Where one tie block holds more than k/4 frequencies the count
-    jumps past 1.25 k at a single exponent; the bisection then stops when
-    the bracket closes, and the count stays above 1.25 k.
-    """
-    lo, hi = 0.0, min(av)
-    count = _count(av, bv, hi)
-    while count < k:
-        lo, hi = hi, 2.0 * hi
-        count = _count(av, bv, hi)
-    while count > 1.25 * k:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break
-        got = _count(av, bv, mid)
-        if got < k:
-            lo = mid
-        else:
-            hi, count = mid, got
-    return hi
+def _integer_at_least(name: str, value, least: int = 1) -> int:
+    """value as an int if it is an integer (``numbers.Integral``, not bool)
+    of at least ``least``, 0 or 1; else InvalidParameterError naming it."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        kind = "positive" if least == 1 else "nonnegative"
+        raise InvalidParameterError("term_undefined", f"{name} must be a {kind} integer, got {value!r}")
+    return int(value)
 
 
 def top_eigenvalues(params: KorobovParams, k: int) -> Spectrum:
-    """The k largest weights, by count and walk; sorted on first read.
+    """The k largest weights, by rank selection and walk; sorted on first read.
 
-    A budget x is searched on the exact count until k <= count(x) <=
-    about 1.25 k, and the frequencies below x are walked once as arrays
-    (``index_set._walk``) and kept in walk order.  Read in order, they
-    are sorted by (exponent, frequency vector) and the first k kept.
-    Every frequency with the k-th exponent lies below x, so the tie order
-    at the cut is the global one.
+    The k-th exponent e is read by rank selection (``_nth_exponents``) and
+    the frequencies with exponent <= e, those below the next float, are
+    walked once as arrays (``index_set._walk``) and kept in walk order.
+    Read in order, they are sorted by (exponent, frequency vector) and the
+    first k kept.  Every frequency with the k-th exponent is walked, so
+    the tie order at the cut is the global one.
     """
-    if not (isinstance(k, int) and k >= 1):
-        raise InvalidParameterError("term_undefined", f"k must be a positive integer, got {k!r}")
-    av, bv = a_values(params), b_values(params)
-    exponents, members = _walk(av, bv, _budget_for(av, bv, k))
+    k = _integer_at_least("k", k)
+    (e,) = _nth_exponents(params, [k - 1])
+    exponents, members = _walk(a_values(params), b_values(params), math.nextafter(e, math.inf))
     return Spectrum(params=params, k=k, walk_exponents=exponents, walk_members=members)
 
 
@@ -143,20 +128,28 @@ _SHELL = 4096
 def _nth_exponents(params: KorobovParams, ns: Sequence[int]) -> list[float]:
     """The float at position n of the sorted walk, for each n >= 0 in ns.
 
-    The walk's frontier holds the partial sums acc_i over coordinates
-    1..s-1 below a budget x with max(ns) + 1 frequencies, and with the last
-    coordinate's terms T_h (``_pow_term``) each exponent below x is the
-    walk's float acc_i + T_h.  The rank of y <= x is the sum of 2 c_i - 1
-    over c_i = #{h >= 0 : acc_i + T_h < y} >= 1, settled by that strict
-    comparison.  y is bisected until [lo, hi) holds the n-th exponent among
-    at most ``_SHELL`` frequencies, partitioned there, or one float, lo.
+    In one dimension the sorted exponents are 0, T_1, T_1, T_2, T_2, ...
+    with T_h = ``_pow_term(a, h, b)``, so position n is T_((n+1)//2).
+    Otherwise the budget x is the first doubling of min(a) whose count
+    reaches max(ns) + 1, and the frontier (``index_set._frontier``) holds
+    the distinct partial sums acc_i over coordinates 1..s-1 below x, with
+    multiplicities m_i; with the last coordinate's terms T_h each exponent
+    below x is the walk's float acc_i + T_h.  The rank of y <= x is the sum
+    of m_i (2 c_i - 1) over c_i = #{h >= 0 : acc_i + T_h < y} >= 1,
+    settled by that strict comparison.  y is bisected until [lo, hi) holds
+    the n-th exponent among at most ``_SHELL`` frequencies, partitioned
+    there, or one float, lo.
     """
-    if not ns:
-        return []
     av, bv = a_values(params), b_values(params)
-    x = _budget_for(av, bv, max(ns) + 1)
-    acc, mult = np.unique(_walk(av[:-1], bv[:-1], x)[0], return_counts=True)
     a, b = av[-1], bv[-1]
+    if len(av) == 1 or not ns:
+        return [_pow_term(a, (n + 1) // 2, b) for n in ns]
+    x = min(av)
+    while _count(av, bv, x) <= max(ns):
+        x *= 2.0
+    front = _frontier(av[:-1], bv[:-1], x)
+    acc = np.fromiter(front.keys(), float, len(front))
+    mult = np.fromiter(front.values(), np.int64, len(front))
     terms = np.array([0.0] + [_pow_term(a, h, b) for h in range(1, _reach(a, b, 0.0, x) + 2)])
 
     def below(y: float) -> tuple[np.ndarray, int]:  # (c_i, rank) for y <= x <= terms[-1]
@@ -195,11 +188,10 @@ def nth_minimal_error(params: KorobovParams, n: int) -> float:
     the (n+1)-st sorted weight, read by rank selection in memory that
     grows with the walk's frontier and a shell only, not with n.
     """
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 0:
-        raise InvalidParameterError("term_undefined", f"n must be a nonnegative integer, got {n!r}")
+    n = _integer_at_least("n", n, 0)
     if n == 0:
         return 1.0
-    (e,) = _nth_exponents(params, [int(n)])
+    (e,) = _nth_exponents(params, [n])
     return math.sqrt(math.exp(e * -params.log_inv_omega))
 
 
@@ -235,8 +227,7 @@ def eigenvalue_tail_bound(params: KorobovParams, n: int, eta: float) -> float:
     """
     if not (0.0 < eta < 1.0):
         raise InvalidParameterError("term_undefined", f"eta must lie in (0,1), got {eta}")
-    if not (isinstance(n, int) and n >= 1):
-        raise InvalidParameterError("term_undefined", f"n must be a positive integer, got {n!r}")
+    n = _integer_at_least("n", n)
     cv = [eta * a * params.log_inv_omega for a in a_values(params)]
     log_bound = (log_product_ceiling(cv, b_values(params)) - math.log(n)) / eta
     return math.exp(log_bound) if log_bound < 709.0 else math.inf

@@ -1,9 +1,11 @@
 """Shared test helpers: independent counting oracles and random instances.
 
-The oracles here deliberately avoid the package's recurrence and
-boundary-search code: boxes are taken generously large and membership is
-decided by filtering the exponent sum directly, so agreement with the
-library is evidence, not tautology.
+The brute-force oracles here deliberately avoid the package's counting
+and boundary-search code: boxes are taken generously large and
+membership is decided by filtering the exponent sum directly, so
+agreement with the library is evidence, not tautology.
+``recursive_count`` is the exception: it is the memoized recursion the
+package's iterative count replaced, kept as its bit-level reference.
 """
 
 from __future__ import annotations
@@ -71,6 +73,36 @@ def brute_force_count(params, x) -> int:
         sums = (sums[:, None] + terms[None, :]).ravel()
         sums = sums[sums < x]
     return int(sums.size)
+
+
+def recursive_count(av, bv, x) -> int:
+    """|{h : E(h) < x}| by the forward recursion over coordinates that
+    ``index_set._count`` replaced, kept as its reference.  A subproblem is
+    fixed by the partial sum of the coordinates already chosen and the next
+    coordinate, so it is memoized on (acc, dim); the last coordinate is
+    closed by ``_reach``.  One Python frame per coordinate: deep spaces
+    need a raised recursion limit.
+    """
+    from korobov.index_set import _pow_term, _reach
+
+    x = float(x)
+    last = len(av) - 1
+    memo = {}
+
+    def rec(acc, dim):
+        a, b = av[dim], bv[dim]
+        if dim == last:
+            return 2 * _reach(a, b, acc, x) + 1
+        key = (acc, dim)
+        total = memo.get(key)
+        if total is None:
+            total = rec(acc, dim + 1)
+            for h in range(1, _reach(a, b, acc, x) + 1):
+                total += 2 * rec(acc + _pow_term(a, h, b), dim + 1)
+            memo[key] = total
+        return total
+
+    return rec(0.0, 0) if x > 0.0 else 0
 
 
 def brute_force_members(params, x) -> set[tuple[int, ...]]:

@@ -10,10 +10,16 @@ must satisfy int_error <= truth <= int_error + int_slack, both cells read
 back as the floats the CLI printed (``int_slack`` is printed as the upper
 end minus ``int_error``).
 
+Every ``n_all`` cell of every golden ``complexity`` output, the weight
+families' included, must equal the independent brute-force count of
+``conftest.brute_force_count`` at the budget exponent_budget(omega, eps)
+of the row's s and eps.
+
 Not audited yet: ``app_error``/``app_slack`` and ``lower_bound`` of
-``integrate``, every cell of ``analyze``, ``complexity`` and
-``convergence``, and the weight-family goldens of
-``tests/test_golden_families.py``.  ``mesh`` and ``n`` are exact integers.
+``integrate``, every cell of ``analyze`` and ``convergence``, the
+``lemma_lower``/``lemma_upper`` cells of ``complexity``, and the other
+weight-family goldens of ``tests/test_golden_families.py``.  ``mesh`` and
+``n`` are exact integers.
 """
 
 from pathlib import Path
@@ -21,7 +27,9 @@ from pathlib import Path
 import mpmath as mp
 import pytest
 
-from korobov.params import a_values, b_values, load_params
+from conftest import brute_force_count
+from korobov.index_set import exponent_budget
+from korobov.params import KorobovParams, a_values, b_values, load_params, validate
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -57,3 +65,17 @@ def test_int_error_and_slack_hold_the_50_digit_truth(config):
             truth = mp.sqrt(product - 1)
             value, slack = mp.mpf(float(int_error)), mp.mpf(float(int_slack))
             assert value <= truth <= value + slack, (config, mesh)
+
+
+@pytest.mark.parametrize("output", sorted(GOLDEN.glob("*_complexity.out")), ids=lambda path: path.stem)
+def test_n_all_is_the_brute_force_count(output):
+    base = load_params(str(GOLDEN / output.name.replace("_complexity.out", ".json")))
+    rows = [line.split(",") for line in output.read_text().splitlines()[1:]]
+    audited = 0
+    for s, eps, n_all, *_ in rows:
+        if n_all == "cap_exceeded":
+            continue
+        params = validate(KorobovParams(omega=base.omega, a=base.a, b=base.b, s=int(s)))
+        assert int(n_all) == brute_force_count(params, exponent_budget(params.omega, float(eps))), (s, eps)
+        audited += 1
+    assert audited

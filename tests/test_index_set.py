@@ -53,6 +53,16 @@ def test_count_examples():
     assert count_below(p, -3.0) == 0
 
 
+def test_infinite_budget_raises_and_nan_holds_nothing():
+    p = make_params(0.5, (1, 1.5), (1, 2))
+    for read in (count_below, enumerate_below):
+        with pytest.raises(InvalidParameterError, match="x = inf"):
+            read(p, math.inf)
+    assert count_below(p, math.nan) == 0  # no E(h) < nan holds
+    assert enumerate_below(p, math.nan).count == 0
+    assert count_below(p, -math.inf) == 0
+
+
 def test_count_matches_dimension_one_closed_form():
     p = make_params(0.5, (1.7,), (1.3,))
     for x in (0.5, 1.7, 2.0, 9.42, 31.0):

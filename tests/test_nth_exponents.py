@@ -7,9 +7,12 @@ partitions a small shell.  It must return the float that walking every
 frequency below a budget holding max(n) + 1 of them and partitioning
 gives, bit for bit: inside tie blocks, at n = 0, for repeated and
 unsorted n, and at counts that end on a lattice exponent.  That walk and
-partition is kept below as the reference.
+partition, on a budget doubled until the reference recursion
+(``conftest.recursive_count``) counts max(n) + 1 frequencies below it,
+is kept below as the reference.
 """
 
+import math
 import re
 import tracemalloc
 from unittest import mock
@@ -19,22 +22,30 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_params
+from conftest import make_params, recursive_count
 from korobov import spectra
 from korobov.errors import InvalidParameterError
 from korobov.index_set import _walk, count_below, weight_exponent
 from korobov.params import a_values, b_values
-from korobov.spectra import _budget_for, _nth_exponents, nth_minimal_error, top_eigenvalues
+from korobov.spectra import _nth_exponents, eigenvalue_tail_bound, nth_minimal_error, top_eigenvalues
 
 PROPERTY = settings(max_examples=120, deadline=None, derandomize=True, database=None)
 DEMO = make_params(0.5, (1, 1), (1, 1))
+
+
+def holding(av, bv, k):
+    """The first doubling of min(a) below which k or more frequencies lie."""
+    x = min(av)
+    while recursive_count(av, bv, x) < k:
+        x *= 2.0
+    return x
 
 
 def walk_and_partition(params, ns):
     """Every frequency below a budget holding max(ns) + 1, partitioned at
     each n."""
     av, bv = a_values(params), b_values(params)
-    exponents, _ = _walk(av, bv, _budget_for(av, bv, max(ns) + 1))
+    exponents, _ = _walk(av, bv, holding(av, bv, max(ns) + 1))
     part = np.partition(exponents, sorted(set(ns)))
     return [float(part[n]) for n in ns]
 
@@ -64,7 +75,7 @@ def spaces_and_ns(draw):
     k = draw(st.integers(1, 20_000))
     ns = draw(st.lists(st.integers(0, k - 1), min_size=1, max_size=6))
     av, bv = a_values(params), b_values(params)
-    exponents = np.sort(_walk(av, bv, _budget_for(av, bv, k))[0])[:k]
+    exponents = np.sort(_walk(av, bv, holding(av, bv, k))[0])[:k]
     inside = np.flatnonzero(exponents[1:] == exponents[:-1]) + 1
     if inside.size:
         ns += [int(inside[draw(st.integers(0, inside.size - 1))]) for _ in range(2)]
@@ -140,10 +151,45 @@ def test_nth_minimal_error_takes_any_integral_n():
     assert nth_minimal_error(DEMO, np.int64(5)) == nth_minimal_error(DEMO, 5)
 
 
+def test_k_and_n_follow_one_integer_rule():
+    # numbers.Integral except bool, as nth_minimal_error reads n
+    spectrum = top_eigenvalues(DEMO, np.int64(5))
+    assert spectrum.k == 5 and type(spectrum.k) is int
+    assert spectrum.exponents == top_eigenvalues(DEMO, 5).exponents
+    assert eigenvalue_tail_bound(DEMO, np.int64(5), 0.5) == eigenvalue_tail_bound(DEMO, 5, 0.5)
+    for value in (True, 2.0, 0):
+        with pytest.raises(InvalidParameterError, match=re.escape(f"k must be a positive integer, got {value!r}")):
+            top_eigenvalues(DEMO, value)
+        with pytest.raises(InvalidParameterError, match=re.escape(f"n must be a positive integer, got {value!r}")):
+            eigenvalue_tail_bound(DEMO, value, 0.5)
+
+
 @pytest.mark.parametrize("n", [2.0, True, False, -1, "3", None], ids=repr)
 def test_nth_minimal_error_rejects_what_is_not_a_nonnegative_integer(n):
     with pytest.raises(InvalidParameterError, match=re.escape(f"n must be a nonnegative integer, got {n!r}")):
         nth_minimal_error(DEMO, n)
+
+
+@pytest.mark.parametrize("a, b", [(1, 1), (1.7, 1.3), (2, 2)])
+def test_one_dimension_reads_the_closed_form_bit_for_bit(a, b):
+    # the sorted exponents are 0, T_1, T_1, T_2, T_2, ...
+    params = make_params(0.5, (a,), (b,))
+    ns = list(range(300))
+    assert bits(_nth_exponents(params, ns)) == bits(walk_and_partition(params, ns))
+
+
+def test_one_dimension_memory_does_not_grow_with_n():
+    # the last coordinate's term table held about n/2 floats (20.5 MiB)
+    params = make_params(0.5, (1,), (1,))
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        value = nth_minimal_error(params, 10**6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert value == math.sqrt(math.exp(500_000 * -params.log_inv_omega))
+    assert peak - start <= 2**20
 
 
 def test_nth_minimal_error_memory_does_not_grow_with_n():

@@ -4,17 +4,24 @@
 terms.  The reference here is the scalar recursive walk it replaced, kept
 verbatim: the same exponents bit for bit, the same members and the same
 walk order are required, also for budgets that sit on a lattice exponent.
+The count (``index_set._count``, an iterative frontier) is checked against
+the memoized recursion it replaced (``conftest.recursive_count``), against
+closed forms at thousands of coordinates, and for the memory it holds.
 Spectra are checked against a brute-force (exponent, frequency) sort.
 """
 
 import math
 import random
+import sys
+import tracemalloc
+from pathlib import Path
 
 import hypothesis.strategies as st
 from hypothesis import HealthCheck, given, settings
 
-from conftest import brute_force_members, make_params
+from conftest import brute_force_members, make_params, recursive_count
 from korobov.index_set import _count, _enumerate, _exponent, _pow_term, _reach, _walk, count_below, enumerate_below
+from korobov.params import a_values, b_values, load_params
 from korobov.spectra import _nth_exponents, nth_minimal_error, top_eigenvalues
 
 WORK_CAP = 4000
@@ -76,7 +83,7 @@ def exact(values):
 @given(spaces())
 def test_walk_equals_scalar_walk(case):
     av, bv, x = case
-    if _count(av, bv, x) > WORK_CAP:
+    if recursive_count(av, bv, x) > WORK_CAP:
         return
     expected = recursive_walk(av, bv, x)
     exponents, members = _walk(av, bv, x)
@@ -96,7 +103,7 @@ def test_walk_equals_scalar_walk(case):
 @given(spaces())
 def test_enumerate_below_is_the_sorted_walk(case):
     av, bv, x = case
-    if _count(av, bv, x) > WORK_CAP:
+    if recursive_count(av, bv, x) > WORK_CAP:
         return
     params = make_params(0.5, av, bv)
     got = enumerate_below(params, x)
@@ -106,6 +113,65 @@ def test_enumerate_below_is_the_sorted_walk(case):
     assert exact(got.exponent_array.tolist()) == exact(e for e, _ in expected)
     assert got.exponent_array.shape == (got.count,)
     assert got.member_array.shape == (got.count, params.s)
+
+
+@st.composite
+def lattice_budgets(draw):
+    """(a, b, x): s = 1..5, integer or real weights (a nondecreasing), and x
+    the exponent ``_exponent`` of a random frequency h, so x sits exactly
+    on the lattice; coordinates range up to about a budget of 30."""
+    s = draw(st.integers(1, 5))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    if draw(st.booleans()):
+        a = sorted(float(rng.randint(1, 3)) for _ in range(s))
+        b = [float(rng.randint(1, 2)) for _ in range(s)]
+    else:
+        a = sorted(rng.uniform(1.0, 2.5) for _ in range(s))
+        b = [rng.uniform(1.0, 2.0) for _ in range(s)]
+    radii = [int((30.0 / (aj * s)) ** (1.0 / bj)) for aj, bj in zip(a, b)]
+    h = [rng.randint(-r, r) for r in radii]
+    return a, b, _exponent(a, b, h)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(lattice_budgets())
+def test_count_equals_the_recursion_on_lattice_exponents(case):
+    # E(h) itself is not below E(h): the count excludes h's tie block, and
+    # the next float above includes it
+    av, bv, x = case
+    params = make_params(0.5, av, bv)
+    for y in (x, math.nextafter(x, math.inf)):
+        assert count_below(params, y) == recursive_count(av, bv, y)
+
+
+def l1_ball(s, radius):
+    """|{h in Z^s : |h_1| + ... + |h_s| <= radius}|, the count for a = b = 1."""
+    return sum(2**k * math.comb(s, k) * math.comb(radius, k) for k in range(min(s, radius) + 1))
+
+
+def test_count_at_thousands_of_coordinates():
+    # the recursion needed one Python frame per coordinate and raised
+    # RecursionError near s = 1000; the frontier holds no frames
+    limit = sys.getrecursionlimit()
+    assert count_below(make_params(0.5, [1] * 1000, [1] * 1000), 4.0) == l1_ball(1000, 3)
+    big = count_below(make_params(0.5, [1] * 6000, [1] * 6000), 6.5)
+    assert big == l1_ball(6000, 6) and big > 2**63
+    assert sys.getrecursionlimit() == limit
+
+
+def test_count_memory_stays_small_on_a_deep_budget():
+    # closing the last two coordinates per frontier entry: the frontier over
+    # coordinates 1..s-1 alone held about 9.5 MiB here
+    params = load_params(str(Path(__file__).parent / "golden" / "s3_real.json"))
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        count = count_below(params, 1000.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert count == recursive_count(a_values(params), b_values(params), 1000.0)
+    assert peak - start <= 2**20
 
 
 def brute_force_spectrum(params, k):
