@@ -53,10 +53,9 @@ def recursive_walk(av, bv, x):
     return out
 
 
-@st.composite
-def spaces(draw):
-    """(a, b, x): s = 1..5, integer or real weights (a nondecreasing), and a
-    budget drawn off the lattice, as an integer, or on a lattice exponent."""
+def draw_weights(draw):
+    """(rng, a, b): s = 1..5 integer or real weights (a nondecreasing) and
+    the seeded generator that drew them."""
     s = draw(st.integers(1, 5))
     rng = random.Random(draw(st.integers(0, 2**32)))
     if draw(st.booleans()):
@@ -65,7 +64,15 @@ def spaces(draw):
     else:
         a = sorted(rng.uniform(1.0, 2.5) for _ in range(s))
         b = [rng.uniform(1.0, 2.0) for _ in range(s)]
-    x = rng.uniform(0.0, (60.0, 40.0, 24.0, 18.0, 14.0)[s - 1])
+    return rng, a, b
+
+
+@st.composite
+def spaces(draw):
+    """(a, b, x): weights from ``draw_weights`` and a budget drawn off the
+    lattice, as an integer, or on a lattice exponent."""
+    rng, a, b = draw_weights(draw)
+    x = rng.uniform(0.0, (60.0, 40.0, 24.0, 18.0, 14.0)[len(a) - 1])
     kind = draw(st.sampled_from(["off", "integer", "on"]))
     if kind == "integer":
         x = float(math.floor(x))
@@ -117,18 +124,11 @@ def test_enumerate_below_is_the_sorted_walk(case):
 
 @st.composite
 def lattice_budgets(draw):
-    """(a, b, x): s = 1..5, integer or real weights (a nondecreasing), and x
-    the exponent ``_exponent`` of a random frequency h, so x sits exactly
-    on the lattice; coordinates range up to about a budget of 30."""
-    s = draw(st.integers(1, 5))
-    rng = random.Random(draw(st.integers(0, 2**32)))
-    if draw(st.booleans()):
-        a = sorted(float(rng.randint(1, 3)) for _ in range(s))
-        b = [float(rng.randint(1, 2)) for _ in range(s)]
-    else:
-        a = sorted(rng.uniform(1.0, 2.5) for _ in range(s))
-        b = [rng.uniform(1.0, 2.0) for _ in range(s)]
-    radii = [int((30.0 / (aj * s)) ** (1.0 / bj)) for aj, bj in zip(a, b)]
+    """(a, b, x): weights from ``draw_weights`` and x the exponent
+    ``_exponent`` of a random frequency h, so x sits exactly on the
+    lattice; coordinates range up to about a budget of 30."""
+    rng, a, b = draw_weights(draw)
+    radii = [int((30.0 / (aj * len(a))) ** (1.0 / bj)) for aj, bj in zip(a, b)]
     h = [rng.randint(-r, r) for r in radii]
     return a, b, _exponent(a, b, h)
 
