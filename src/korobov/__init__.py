@@ -34,6 +34,7 @@ from .integration import (
     small_n_lower_bound,
     worst_case_int_error,
 )
+from .oracle import exact_worst_case_error
 from .params import (
     ConstantFamily,
     ExplicitFamily,
@@ -53,7 +54,6 @@ from .sampling import (
     apply_algorithm,
     build_std_algorithm,
     error_upper_bound,
-    exact_worst_case_error,
     gen_error_bound,
     mesh_for_accuracy,
     mesh_for_threshold,

@@ -33,20 +33,13 @@ from .errors import CapExceeded, ConfigError, InvalidParameterError, KorobovErro
 from .grids import DEFAULT_GRID_CAP, RegularGrid
 from .index_set import DEFAULT_SET_CAP, count_below, count_product_bounds, exponent_budget
 from .integration import GridRule, small_n_lower_bound, worst_case_int_error
-from .params import KorobovParams, _number, _read_json, load_params, params_from_config, validate
 # exact_worst_case_error and top_eigenvalues are not called here: the
-# subcommands run the oracle through _oracle_many and read e_all by rank
-# selection.  The names stay importable from this module because
+# subcommands run the oracle through oracle._oracle_many and read e_all by
+# rank selection.  The names stay importable from this module because
 # bench/tracer.py wraps them here.
-from .sampling import (
-    DEFAULT_COSET_CAP,
-    _oracle_many,
-    build_std_algorithm,
-    default_truncation,
-    error_upper_bound,
-    exact_worst_case_error,
-    mesh_for_accuracy,
-)
+from .oracle import DEFAULT_COSET_CAP, _oracle_many, default_truncation, exact_worst_case_error  # noqa: F401
+from .params import KorobovParams, _number, _read_json, load_params, params_from_config, validate
+from .sampling import build_std_algorithm, error_upper_bound, mesh_for_accuracy
 from .spectra import _nth_exponents, top_eigenvalues  # noqa: F401
 from .tractability import analyze, fit_exponential_rate, staircase_corners
 
@@ -220,8 +213,9 @@ def _cmd_integrate(args) -> int:
         sizes = [_number(m, f"meshes[{i}][{j}]", 0, integer=True) for j, m in enumerate(mesh)]
         grids.append(RegularGrid(tuple(sizes)))
 
-    threshold = math.log(m_value) / params.log_inv_omega  # the kept set's, fitting or not
-    trunc = _number(config["trunc_x"], "trunc_x", 0.0) if "trunc_x" in config else default_truncation(threshold)
+    # the kept set's threshold, fitting or not; a config trunc_x must exceed it
+    threshold = math.log(m_value) / params.log_inv_omega
+    trunc = _number(config["trunc_x"], "trunc_x", threshold) if "trunc_x" in config else default_truncation(threshold)
     ints = [worst_case_int_error(params, GridRule(grid), trunc) for grid in grids]
     # The kept set depends on M alone, so every mesh shares one.  Over
     # cap_set it blanks only the oracle cells: the integration error and

@@ -6,7 +6,8 @@ frequencies divisible coordinatewise by the mesh sizes; sampling a
 Fourier coefficient on the grid returns the sum of true coefficients
 over a dual-lattice coset, which is the single identity everything in
 the standard-information analysis rests on: :func:`aliased_coefficients`
-samples the coefficient, :func:`dual_coset_sum` sums the coset directly.
+samples the coefficient, :func:`dual_coset_sum` sums the coset directly,
+and :meth:`RegularGrid.coset_keys` labels the cosets for the oracle.
 
 Function values on a grid are computed by sum factorisation, one
 coordinate at a time, and held as one array of n complex values: at most
@@ -75,6 +76,17 @@ class RegularGrid:
     @property
     def n(self) -> int:
         return math.prod(self.mesh)
+
+    def coset_keys(self, members: np.ndarray) -> np.ndarray:
+        """Dual-lattice coset keys of the rows of ``members`` (int64[n, s]):
+        the residues modulo min(m_j, 2 R_j + 1), R_j = max |h_j| over them.
+
+        A side m >= 2R + 1 maps [-R, R] one to one, non-negatives first, as
+        2R + 1 does: rows share a key exactly when they share a coset, keys
+        sort as the plain residues mod m do, and every side fits int64."""
+        reach = np.abs(members).max(axis=0, initial=0).tolist()
+        sides = [min(m, 2 * r + 1) for m, r in zip(self.mesh, reach)]
+        return members % np.array(sides, dtype=np.int64)
 
 
 def _require_dimension(grid: RegularGrid, s: int) -> None:

@@ -37,7 +37,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import CapExceeded, InvalidParameterError
-from .params import KorobovParams, a_values, b_values
+from .params import KorobovParams, _require_positive_int, a_values, b_values
 
 __all__ = [
     "DEFAULT_SET_CAP",
@@ -350,8 +350,7 @@ def count_growth_bound(
         )
     if not (delta > 0.0):
         raise InvalidParameterError("term_undefined", f"delta must be positive, got {delta}")
-    if not (isinstance(j_star, int) and j_star >= 1):
-        raise InvalidParameterError("term_undefined", f"j_star must be a positive integer, got {j_star!r}")
+    _require_positive_int(j_star, "j_star")
     for j in range(j_star, params.s + 1):
         if not (av[j - 1] >= math.exp(delta * j)):
             raise InvalidParameterError(

@@ -46,6 +46,12 @@ _FLOAT_MAX = sys.float_info.max
 _LN2 = math.log(2.0)
 
 
+def _require_positive_int(value, what: str, code: str = "term_undefined") -> None:
+    """Raise unless value is a Python int of at least 1; bool is never an integer."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise InvalidParameterError(code, f"{what} must be a positive integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Interval:
     """Closed interval certifying a real quantity: lo <= value <= hi."""
@@ -154,12 +160,6 @@ class SequenceFamily:
             guess = INFINITE
         return _adjusted_max_index(self.term, guess, x)
 
-    def _require_index(self, j: int) -> None:
-        if not isinstance(j, int) or j < 1:
-            raise InvalidParameterError(
-                "term_undefined", f"sequence index must be a positive integer, got {j!r}"
-            )
-
 
 @dataclass(frozen=True)
 class ConstantFamily(SequenceFamily):
@@ -169,7 +169,7 @@ class ConstantFamily(SequenceFamily):
     kind = "constant"
 
     def term(self, j: int) -> float:
-        self._require_index(j)
+        _require_positive_int(j, "sequence index")
         return self.c
 
     def log_growth(self) -> float:
@@ -194,7 +194,7 @@ class PowerFamily(SequenceFamily):
         """c * float(j)**k wherever that is finite.  Where j or j**k is
         past the float range, the term is formed in log space (math.log
         takes ints of any size), so it is inf only when c * j**k is."""
-        self._require_index(j)
+        _require_positive_int(j, "sequence index")
         try:
             return self.c * float(j) ** self.k
         except OverflowError:
@@ -247,7 +247,7 @@ class GeometricFamily(SequenceFamily):
     kind = "geometric"
 
     def term(self, j: int) -> float:
-        self._require_index(j)
+        _require_positive_int(j, "sequence index")
         try:
             return self.c * self.r**j
         except OverflowError:  # r**j past the float range; c * r**j may not be
@@ -279,7 +279,7 @@ class ExponentialFamily(SequenceFamily):
     kind = "exponential"
 
     def term(self, j: int) -> float:
-        self._require_index(j)
+        _require_positive_int(j, "sequence index")
         try:
             return self.c * math.exp(self.alpha * j)
         except OverflowError:  # exp(alpha j) past the float range; c exp(alpha j) may not be
@@ -343,7 +343,7 @@ class ExplicitFamily(SequenceFamily):
         return self.tail
 
     def term(self, j: int) -> float:
-        self._require_index(j)
+        _require_positive_int(j, "sequence index")
         if j <= len(self.values):
             return self.values[j - 1]
         return self._tail_family(
@@ -506,10 +506,7 @@ def validate(params: KorobovParams) -> KorobovParams:
         raise InvalidParameterError(
             "omega_out_of_range", f"omega must lie in (0,1), got {params.omega}"
         )
-    if not isinstance(params.s, int) or params.s < 1:
-        raise InvalidParameterError(
-            "dimension_not_positive", f"dimension must be a positive integer, got {params.s!r}"
-        )
+    _require_positive_int(params.s, "dimension", "dimension_not_positive")
     prev = None
     for j in range(1, params.s + 1):
         aj = params.a.term(j)

@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvalidParameterError, UndecidableTail
-from .params import Interval, SequenceFamily
+from .params import Interval, SequenceFamily, _require_positive_int
 
 __all__ = [
     "TractabilityReport",
@@ -154,8 +154,7 @@ def analyze(a: SequenceFamily, b: SequenceFamily, s: int) -> TractabilityReport:
     Families with an undecidable tail produce "unknown" fields rather
     than guesses; everything decidable is still reported.
     """
-    if not (isinstance(s, int) and s >= 1):
-        raise InvalidParameterError("dimension_not_positive", f"s must be a positive integer, got {s!r}")
+    _require_positive_int(s, "s", "dimension_not_positive")
     for j in range(1, s + 1):
         if not a.term(j) >= 1.0:
             raise InvalidParameterError("a_below_one", f"a_{j} = {a.term(j)} < 1")

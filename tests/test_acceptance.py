@@ -24,6 +24,7 @@ from korobov.index_set import (
     weight_exponent,
 )
 from korobov.integration import GridRule, small_n_lower_bound, worst_case_int_error
+from korobov.oracle import exact_worst_case_error
 from korobov.params import (
     ConstantFamily,
     GeometricFamily,
@@ -33,7 +34,6 @@ from korobov.params import (
 from korobov.sampling import (
     build_std_algorithm,
     error_upper_bound,
-    exact_worst_case_error,
     gen_error_bound,
     mesh_for_accuracy,
 )

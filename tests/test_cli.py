@@ -7,7 +7,7 @@ import pytest
 from korobov.cli import _build_parser, main
 from korobov.grids import DEFAULT_GRID_CAP
 from korobov.index_set import DEFAULT_SET_CAP
-from korobov.sampling import DEFAULT_COSET_CAP
+from korobov.oracle import DEFAULT_COSET_CAP
 
 
 def write(tmp_path, name, obj):
@@ -245,6 +245,9 @@ def test_each_subcommand_takes_the_caps_its_handler_reads():
         ("integrate", "trunc_x", "[1]", "trunc_x"),
         ("integrate", "trunc_x", "1e999", "trunc_x"),
         ("integrate", "trunc_x", "true", "trunc_x"),
+        # M = 4 on omega = 1/2 keeps the exponents below 2.0
+        ("integrate", "trunc_x", "0.5", "trunc_x"),
+        ("integrate", "trunc_x", "2.0", "trunc_x"),
         ("integrate", "M", "1e999", "M"),
         ("integrate", "meshes", '"a"', "meshes[0][1]"),
         ("integrate", "meshes", "2.7", "meshes[0][1]"),

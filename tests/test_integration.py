@@ -13,7 +13,8 @@ from korobov.integration import (
     small_n_lower_bound,
     worst_case_int_error,
 )
-from korobov.sampling import apply_algorithm, build_std_algorithm, exact_worst_case_error
+from korobov.oracle import exact_worst_case_error
+from korobov.sampling import apply_algorithm, build_std_algorithm
 from korobov.space import (
     FourierPolynomial,
     basis_function,

@@ -15,7 +15,8 @@ from conftest import make_params, random_instance
 from korobov.grids import RegularGrid
 from korobov.index_set import _sorted, _walk, count_below, enumerate_below
 from korobov.params import a_values, b_values
-from korobov.sampling import build_std_algorithm, exact_worst_case_error
+from korobov.oracle import exact_worst_case_error
+from korobov.sampling import build_std_algorithm
 from korobov.spectra import _nth_exponents, nth_minimal_error, top_eigenvalues
 
 

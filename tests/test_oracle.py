@@ -17,14 +17,9 @@ from conftest import make_params, random_instance
 from korobov.errors import CapExceeded
 from korobov.grids import RegularGrid
 from korobov.index_set import enumerate_below
+from korobov.oracle import _top_sq_brackets, exact_worst_case_error
 from korobov.params import GeometricFamily, KorobovParams
-from korobov.sampling import (
-    _top_sq_brackets,
-    build_std_algorithm,
-    exact_worst_case_error,
-    mesh_for_accuracy,
-    threshold_algorithm,
-)
+from korobov.sampling import build_std_algorithm, mesh_for_accuracy, threshold_algorithm
 
 U = 2.0**-53
 

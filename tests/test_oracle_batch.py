@@ -17,12 +17,8 @@ from conftest import make_params
 from korobov.errors import CapExceeded, InvalidParameterError
 from korobov.grids import RegularGrid
 from korobov.index_set import count_below, enumerate_below
-from korobov.sampling import (
-    _oracle_many,
-    _top_sq_brackets,
-    build_std_algorithm,
-    exact_worst_case_error,
-)
+from korobov.oracle import _oracle_many, _top_sq_brackets, exact_worst_case_error
+from korobov.sampling import build_std_algorithm
 
 
 def random_space(rng):

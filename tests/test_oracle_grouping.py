@@ -16,7 +16,8 @@ import pytest
 from conftest import make_params
 from korobov.grids import RegularGrid
 from korobov.index_set import count_below, enumerate_below
-from korobov.sampling import _top_sq_brackets, build_std_algorithm, exact_worst_case_error
+from korobov.oracle import _top_sq_brackets, exact_worst_case_error
+from korobov.sampling import build_std_algorithm
 
 
 def reference_grouping(alg, trunc_x):

@@ -19,7 +19,7 @@ import mpmath as mp
 import numpy as np
 from hypothesis import HealthCheck, given, settings
 
-from korobov.sampling import _top_sq_brackets
+from korobov.oracle import _top_sq_brackets
 
 U = 2.0**-53
 

@@ -7,13 +7,13 @@ from conftest import make_params, random_instance
 from korobov.errors import InvalidParameterError
 from korobov.grids import RegularGrid, dual_coset_sum
 from korobov.index_set import enumerate_below, weight_exponent
+from korobov.oracle import exact_worst_case_error
 from korobov.params import ConstantFamily, ExplicitFamily, KorobovParams, validate
 from korobov.sampling import (
     accuracy_algorithm,
     apply_algorithm,
     build_std_algorithm,
     error_upper_bound,
-    exact_worst_case_error,
     gen_error_bound,
     mesh_for_accuracy,
     mesh_for_threshold,

@@ -14,7 +14,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from korobov.sampling import _top_sq_brackets
+from korobov.oracle import _top_sq_brackets
 
 
 def exact_top_sq(sq, kept):
