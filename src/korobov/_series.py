@@ -25,7 +25,7 @@ from .index_set import _pow_term
 from .params import _U, Interval
 
 __all__ = ["weight_terms", "weight_sum", "coset_sum_upper", "product_excess", "nonzero_mass",
-           "series_ceiling", "log_product_ceiling", "beyond_window_mass"]
+           "series_ceiling", "log_product_ceiling", "trace_ceilings", "beyond_window_mass"]
 
 _MAX_TERMS = 10**7
 _TINY = 2.0**-1070  # 16 subnormal units
@@ -158,17 +158,24 @@ def log_product_ceiling(cv: Sequence[float], bv: Sequence[float]) -> float:
     return math.nextafter(math.fsum(logs) * (1.0 + 4.0 * _U), math.inf)
 
 
+def trace_ceilings(omega: float, av: Sequence[float], bv: Sequence[float]) -> list[tuple[float, float]]:
+    """(theta, log_product_ceiling of (1 - theta) a_j log(1/omega)) at
+    theta = 1 - 2**-k, k = 1..10: the trace bound's x-free part."""
+    thetas = [1.0 - 2.0**-k for k in range(1, 11)]
+    return [(t, log_product_ceiling([(1.0 - t) * a * -math.log(omega) for a in av], bv)) for t in thetas]
+
+
 def beyond_window_mass(
-    omega: float, av: Sequence[float], bv: Sequence[float], x: float,
-    window_weights: Sequence[float], total: float,
+    omega: float, s: int, x: float, window_weights: Sequence[float], total: float,
+    ceilings: Sequence[tuple[float, float]],
 ) -> tuple[float, float]:
     """Certified upper values of omega**x and of the mass
     sum_{E(h) >= x} omega**E(h) beyond the window.
 
-    The window is the h != 0 with float exponent below x, weighing
-    ``window_weights``.  Outside it exponents are >= x (1 - (s + 8) u), s
-    rounded terms of a possibly scaled weight: ``reach`` with log(1/omega)
-    (4 u more).  The mass is the smaller of ``total``, the space's
+    The window is the h != 0 in dimension s with float exponent below x,
+    weighing ``window_weights``.  Outside it exponents are >= x (1 - (s + 8)
+    u), s rounded terms of a possibly scaled weight: ``reach`` with
+    log(1/omega) (4 u more).  The mass is the smaller of ``total``, the space's
     :func:`nonzero_mass` upper end, minus the window (by ``math.fsum``, each
     weight w within ((s + 11) log(1/w) + 8) u), which cancels in deep
     windows, and the trace bound
@@ -176,9 +183,9 @@ def beyond_window_mass(
         omega**(theta x) * prod_j (1 + 2 sum_{h>=1} omega**((1-theta) a_j h**b_j)),
 
     valid for theta in (0, 1) as omega**E <= omega**(theta x + (1-theta) E)
-    once E >= x, in log form at theta = 1 - 2**-k, k = 1..10.
+    once E >= x, in log form at the ten ``ceilings`` (:func:`trace_ceilings`).
     """
-    log_inv, s = -math.log(omega), len(av)
+    log_inv = -math.log(omega)
     reach = x * log_inv * (1.0 - (s + 16.0) * _U)
     sup = math.nextafter(math.exp(-reach) * (1.0 + 4.0 * _U), math.inf) + _TINY
 
@@ -189,9 +196,7 @@ def beyond_window_mass(
     by_total = total - (window - err)
 
     best = math.inf
-    for k in range(1, 11):
-        theta = 1.0 - 2.0**-k
-        ceiling = log_product_ceiling([(1.0 - theta) * a * log_inv for a in av], bv)
+    for theta, ceiling in ceilings:
         # the subtraction and exp round within (ceiling + 2 theta reach + 4) u
         best = min(best, ceiling - theta * reach + (ceiling + 2.0 * theta * reach + 4.0) * _U)
     by_trace = math.exp(best) + _TINY if best < _LOG_HUGE else math.inf

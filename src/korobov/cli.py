@@ -21,7 +21,6 @@ config, 2 verdicts left unknown.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import logging
@@ -31,15 +30,15 @@ import sys
 
 from .errors import CapExceeded, ConfigError, InvalidParameterError, KorobovError
 from .grids import DEFAULT_GRID_CAP, RegularGrid
-from .index_set import DEFAULT_SET_CAP, count_below, count_product_bounds, exponent_budget
+from .index_set import DEFAULT_SET_CAP, _nested, count_below, count_product_bounds, exponent_budget
 from .integration import GridRule, small_n_lower_bound, worst_case_int_error
-# exact_worst_case_error and top_eigenvalues are not called here: the
-# subcommands run the oracle through oracle._oracle_many and read e_all by
-# rank selection.  The names stay importable from this module because
-# bench/tracer.py wraps them here.
+# build_std_algorithm, exact_worst_case_error and top_eigenvalues are not
+# called here: kept sets are read off the oracle's walk, the oracle runs
+# through oracle._oracle_many and e_all comes by rank selection.  The names
+# stay importable from this module because bench/tracer.py wraps them here.
 from .oracle import DEFAULT_COSET_CAP, _oracle_many, default_truncation, exact_worst_case_error  # noqa: F401
 from .params import KorobovParams, _number, _read_json, load_params, params_from_config, validate
-from .sampling import build_std_algorithm, error_upper_bound, mesh_for_accuracy
+from .sampling import StdAlgorithm, build_std_algorithm, error_upper_bound, mesh_for_accuracy  # noqa: F401
 from .spectra import _nth_exponents, top_eigenvalues  # noqa: F401
 from .tractability import analyze, fit_exponential_rate, staircase_corners
 
@@ -151,25 +150,27 @@ def _cmd_convergence(args) -> int:
 
     # A grid over cap_n is a row (needed n, cap_exceeded x 3), and so is a
     # grid whose kept set is over cap_set (its n, cap_exceeded x 3); both
-    # are kept out of the spectrum's size and both fits.  The other grids'
-    # oracles run together, in one bracket loop.
-    rows: list[tuple[int, float, float | None]] = []
-    jobs = []
+    # are kept out of the spectrum's size and both fits.  Kept sets and oracle
+    # windows come off one walk; the oracles run in one bracket loop.
+    picks = []  # (eps, accuracy mesh or its CapExceeded, kept threshold)
     for eps in eps_values:
         try:
-            choice = mesh_for_accuracy(params, eps, cap_n=args.cap_n)
+            pick = mesh_for_accuracy(params, eps, cap_n=args.cap_n)
+            picks.append((eps, pick, math.log(pick.M) / params.log_inv_omega))
         except CapExceeded as exc:
-            rows.append((exc.needed, eps, None))
+            picks.append((eps, exc, None))
+    xs = [x for _, _, x in picks if x is not None]
+    windows = _nested(params, xs + [default_truncation(x) for x in xs], args.cap_set)
+    rows: list[tuple[int, float, float | None]] = []
+    jobs = []
+    for eps, pick, x in picks:
+        if x is None or isinstance(windows[x], CapExceeded):
+            rows.append((pick.needed if x is None else pick.grid.n, eps, None))
             continue
-        n = choice.grid.n
-        try:
-            alg = build_std_algorithm(params, choice.M, choice.grid, cap_set=args.cap_set)
-        except CapExceeded:
-            rows.append((n, eps, None))
-            continue
-        rows.append((n, eps, error_upper_bound(alg)))
-        jobs.append((alg, default_truncation(alg.threshold)))
-    oracles = iter(_oracle_many(jobs, args.cap_set, args.coset_cap))
+        alg = StdAlgorithm(params, pick.M, pick.grid, windows[x])
+        rows.append((pick.grid.n, eps, error_upper_bound(alg)))
+        jobs.append((alg, default_truncation(x)))
+    oracles = iter(_oracle_many(jobs, args.cap_set, args.coset_cap, windows))
 
     ns = [n for n, _, bound in rows if bound is not None]
     e_all_of = iter(_nth_exponents(params, ns))
@@ -217,16 +218,15 @@ def _cmd_integrate(args) -> int:
     threshold = math.log(m_value) / params.log_inv_omega
     trunc = _number(config["trunc_x"], "trunc_x", threshold) if "trunc_x" in config else default_truncation(threshold)
     ints = [worst_case_int_error(params, GridRule(grid), trunc) for grid in grids]
-    # The kept set depends on M alone, so every mesh shares one.  Over
-    # cap_set it blanks only the oracle cells: the integration error and
-    # the lower bound do not read it.
-    try:
-        kept = build_std_algorithm(params, m_value, grids[0], cap_set=args.cap_set)
-    except CapExceeded as exc:
-        oracles = [exc] * len(grids)
+    # The kept set depends on M alone, so every mesh shares one, a prefix
+    # of the oracle's walk.  Over cap_set it blanks only the oracle cells:
+    # the integration error and the lower bound do not read it.
+    windows = _nested(params, [threshold, trunc], args.cap_set)
+    if isinstance(windows[threshold], CapExceeded):
+        oracles = [windows[threshold]] * len(grids)
     else:
-        jobs = [(dataclasses.replace(kept, grid=grid), trunc) for grid in grids]
-        oracles = _oracle_many(jobs, args.cap_set, args.coset_cap)
+        jobs = [(StdAlgorithm(params, m_value, grid, windows[threshold]), trunc) for grid in grids]
+        oracles = _oracle_many(jobs, args.cap_set, args.coset_cap, windows)
 
     lines = ["mesh,n,int_error,int_slack,app_error,app_slack,lower_bound"]
     for grid, res, orc in zip(grids, ints, oracles):

@@ -21,10 +21,12 @@ and each test compares that one float with the budget by a strict
 the dual-lattice window therefore agree exactly, also on budgets that
 sit on a lattice exponent.  Float addition and the term a*|h|**b are
 monotone, so a walk that prunes at the first partial sum reaching x
-visits exactly the frequencies whose full sum stays below x.  The walk
-tabulates the terms with the scalar ``_pow_term`` and lets numpy only
-add them, so its sums are the same floats.  Forming omega**(-huge) would
-overflow, so nothing leaves exponent space.
+visits exactly the frequencies whose full sum stays below x, and the walk
+below a smaller budget is a larger walk's rows below it, same floats, same
+order (``IndexSet.below``; ``_nested`` reads many budgets off one walk).
+The walk tabulates the terms with the scalar ``_pow_term`` and lets numpy
+only add them, so its sums are the same floats.  Forming omega**(-huge)
+would overflow, so nothing leaves exponent space.
 """
 
 from __future__ import annotations
@@ -268,19 +270,30 @@ class IndexSet:
             )
         return _exponent(*self._weights, h) < self.threshold
 
+    def below(self, x: float) -> IndexSet:
+        """``enumerate_below(params, x)`` for x up to the threshold: this
+        walk's rows with exponent below x (see the module docstring)."""
+        if x > self.threshold:
+            raise InvalidParameterError("term_undefined", f"budget {x} is above {self.threshold}")
+        rows = self.walk_exponents < x
+        exponents, members = self.walk_exponents[rows], self.walk_members[rows]
+        return IndexSet(self.params, float(x), len(exponents), exponents, members)
+
 
 def enumerate_below(
     params: KorobovParams, x: float, cap: int = DEFAULT_SET_CAP
 ) -> IndexSet:
     """Materialize the frequency set below budget x, in walk order.
 
-    The cardinality is checked against ``cap`` first (counting is cheap),
-    so the error carries the true size.
+    Where the walk's box prod_j (2 _reach_j + 1) exceeds ``cap``, the set is
+    counted first, so the error carries the true size; an infinite x raises.
     """
-    total = count_below(params, x)
-    if total > cap:
-        raise CapExceeded("index set size", cap, needed=total)
-    exponents, members = _walk(a_values(params), b_values(params), x)
+    av, bv, x = a_values(params), b_values(params), float(x)
+    if x == math.inf or math.prod(2 * _reach(a, b, 0.0, x) + 1 for a, b in zip(av, bv)) > cap:
+        total = _count(av, bv, x)  # raises for an infinite x
+        if total > cap:
+            raise CapExceeded("index set size", cap, needed=total)
+    exponents, members = _walk(av, bv, x)
     return IndexSet(
         params=params,
         threshold=float(x),
@@ -288,6 +301,20 @@ def enumerate_below(
         walk_exponents=exponents,
         walk_members=members,
     )
+
+
+def _nested(params: KorobovParams, xs: Sequence[float], cap: int = DEFAULT_SET_CAP) -> dict:
+    """``enumerate_below(params, x, cap)``, or the :class:`CapExceeded` it
+    raises, for each x in xs from one walk: at the largest x that fits the
+    cap, read off by ``IndexSet.below`` for every smaller x."""
+    sets, walk = {}, None
+    for x in sorted(set(xs), reverse=True):
+        try:
+            fits = walk is not None and x <= walk.threshold  # never for NaN
+            walk = sets[x] = walk.below(x) if fits else enumerate_below(params, x, cap)
+        except CapExceeded as exc:
+            sets[x] = exc
+    return sets
 
 
 def last_active_coordinate(params: KorobovParams, x: float) -> float:

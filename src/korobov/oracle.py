@@ -27,23 +27,24 @@ the squared error.  slack_sq holds that bound at p_max, the most kept
 members in one coset (both masses from ``_series.beyond_window_mass``),
 plus the bracket gap: reported, never folded in.
 
-The window's walk is grouped by one lexsort, with ``grid.coset_keys`` as
-major keys and the exponent as minor key, so each coset lists its kept
-members first and its weights descending.  Of the algorithm the oracle
-reads ``params``, ``threshold`` and ``grid.coset_keys`` only.
+Each window, one walk's rows below its budget, is put in exponent order
+once; a job folds ``grid.coset_keys`` into one int64 key per row and sorts
+it stably, so each coset lists its kept members first and its weights
+descending.  Of the algorithm it reads ``params``, ``threshold`` and
+``grid.coset_keys`` only.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from ._series import beyond_window_mass, nonzero_mass
+from ._series import beyond_window_mass, nonzero_mass, trace_ceilings
 from .errors import CapExceeded, InvalidParameterError
-from .index_set import DEFAULT_SET_CAP, IndexSet, enumerate_below
+from .index_set import DEFAULT_SET_CAP, IndexSet, _nested
 from .params import _U, a_values, b_values
 
 __all__ = ["OracleResult", "DEFAULT_COSET_CAP", "default_truncation", "exact_worst_case_error"]
@@ -302,17 +303,33 @@ def exact_worst_case_error(
     return result
 
 
+def _coset_key(digits: np.ndarray) -> np.ndarray:
+    """An int64 per row of ``digits`` (int64[n, s], >= 0) that sorts as a
+    lexsort of the digits, column 0 major: mixed radix, column max + 1.  A
+    key the next radix could carry past 2**62 is first dense-ranked."""
+    key, top = np.zeros(len(digits), dtype=np.int64), 0  # top bounds key
+    for column in digits.T:
+        radix = int(column.max(initial=0)) + 1
+        if (top + 1) * radix > 2**62:
+            key = np.unique(key, return_inverse=True)[1].astype(np.int64)
+            top = int(key.max(initial=0))
+        key, top = key * radix + column, (top + 1) * radix - 1
+    return key
+
+
 def _oracle_many(
     jobs: Sequence[tuple[object, float]],
     cap_set: int = DEFAULT_SET_CAP,
     coset_cap: int = DEFAULT_COSET_CAP,
+    windows: Mapping[float, IndexSet | CapExceeded] | None = None,
 ) -> list[OracleResult | CapExceeded]:
     """:func:`exact_worst_case_error` of each (algorithm, trunc_x) job over
     one space, every coset of every job bracketed in one
     ``_top_sq_brackets`` loop, each job's maximum taken apart.
 
-    Jobs with an equal trunc_x share one window, its weights and its
-    beyond-window mass; the space's nonzero mass is summed once per call.
+    Windows are ``index_set._nested``'s, off one walk, unless handed in.
+    Jobs with an equal trunc_x share one window, its order, weights and
+    beyond-window mass; the nonzero mass and trace ceilings are formed once.
     The grouping, the coset cap, ``kept``, ``p_max`` and the slack are per
     job, so every result is that of a call on its job alone: a window over
     ``cap_set`` or a largest coset over ``coset_cap`` puts that
@@ -327,42 +344,41 @@ def _oracle_many(
                 "term_undefined",
                 f"truncation budget {trunc_x} must exceed the kept threshold {alg.threshold}",
             )
+    if windows is None and jobs:
+        windows = _nested(jobs[0][0].params, [trunc_x for _, trunc_x in jobs], cap_set)
     results: list[OracleResult | CapExceeded | None] = [None] * len(jobs)
-    windows: dict[float, tuple[IndexSet, np.ndarray] | CapExceeded] = {}
+    shared = {}  # per trunc_x: exponents, members, weights by exponent, ties in walk order
     masses: dict[float, tuple[float, float]] = {}  # omega**trunc_x and the mass beyond
     total = None  # the nonzero mass, once some job reaches the bracket stage
     batch = []  # (job, trunc_x, weights, kept, ids, largest coset) to bracket
     for i, (alg, trunc_x) in enumerate(jobs):
-        params = alg.params
-        if trunc_x not in windows:
-            try:
-                window = enumerate_below(params, trunc_x, cap=cap_set)
-                windows[trunc_x] = window, np.exp(window.walk_exponents * -params.log_inv_omega)
-            except CapExceeded as exc:
-                windows[trunc_x] = exc
-        if isinstance(windows[trunc_x], CapExceeded):
-            results[i] = windows[trunc_x]
+        params, window = alg.params, windows[trunc_x]
+        if isinstance(window, CapExceeded):
+            results[i] = window
             continue
-        window, walk_weights = windows[trunc_x]
-
-        keys = alg.grid.coset_keys(window.walk_members)
-        order = np.lexsort((window.walk_exponents, *keys.T[::-1]))
-        keys = keys[order]
-        exponents = window.walk_exponents[order]
-        ids = np.concatenate(([0], np.cumsum(np.any(keys[1:] != keys[:-1], axis=1))))
+        if trunc_x not in shared:
+            by_exponent = np.argsort(window.walk_exponents, kind="stable")
+            e = window.walk_exponents[by_exponent]
+            shared[trunc_x] = e, window.walk_members[by_exponent], np.exp(e * -params.log_inv_omega)
+        exponents, members, weights = shared[trunc_x]
+        key = _coset_key(alg.grid.coset_keys(members))
+        order = np.argsort(key, kind="stable")  # each coset's rows stay by exponent
+        key = key[order]
+        ids = np.concatenate(([0], np.cumsum(key[1:] != key[:-1])))
         largest = int(np.bincount(ids).max())
         if largest > coset_cap:
             results[i] = CapExceeded("coset size", coset_cap, needed=largest)
             continue
         if trunc_x not in masses:
             if total is None:
-                total = nonzero_mass(params.omega, a_values(params), b_values(params), _ORACLE_TOL).hi
-            # math.fsum is exactly rounded, so walk order sums like any other
+                av, bv = a_values(params), b_values(params)
+                total = nonzero_mass(params.omega, av, bv, _ORACLE_TOL).hi
+                ceilings = trace_ceilings(params.omega, av, bv)
+            # math.fsum is exactly rounded, so any order sums alike
             masses[trunc_x] = beyond_window_mass(
-                params.omega, a_values(params), b_values(params), trunc_x,
-                walk_weights[window.walk_exponents > 0.0], total,
+                params.omega, params.s, trunc_x, weights[exponents > 0.0], total, ceilings
             )
-        batch.append((i, trunc_x, walk_weights[order], exponents < alg.threshold, ids, largest))
+        batch.append((i, trunc_x, weights[order], exponents[order] < alg.threshold, ids, largest))
 
     if batch:
         _, _, weights, kept, ids, _ = zip(*batch)

@@ -19,6 +19,7 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 from typing import Union
 
 import numpy as np
@@ -214,7 +215,7 @@ class PowerFamily(SequenceFamily):
         with np.errstate(over="ignore"):
             firsts = range(start, n_partial + 1, 4096)
             blocks = (np.arange(j, min(j + 4096, n_partial + 1), dtype=float) for j in firsts)
-            partial = math.fsum(t for js in blocks for t in (1.0 / (self.c * js**self.k)).tolist())
+            partial = math.fsum(chain.from_iterable((1.0 / (self.c * js**self.k)).tolist() for js in blocks))
         tail_hi = n_partial ** (1.0 - self.k) / (self.c * (self.k - 1.0))
         tail_lo = (n_partial + 1.0) ** (1.0 - self.k) / (self.c * (self.k - 1.0))
         # Each term carries at most four roundings (power, product,

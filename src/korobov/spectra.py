@@ -29,8 +29,8 @@ import numpy as np
 
 from ._series import log_product_ceiling
 from .errors import InvalidParameterError
-from .index_set import _count, _frontier, _pow_term, _reach, _sorted, _walk
-from .index_set import count_below, exponent_budget, weight_exponent
+from .index_set import _count, _exponent, _frontier, _pow_term, _reach, _sorted, _walk
+from .index_set import count_below, exponent_budget
 from .params import KorobovParams, a_values, b_values
 from .space import FourierPolynomial
 
@@ -215,7 +215,8 @@ def truncate_to_accuracy(
     if f.params != params:
         raise InvalidParameterError("term_undefined", "function belongs to a different space")
     budget = exponent_budget(params.omega, eps)
-    return f.restrict(lambda h: weight_exponent(params, h) < budget)
+    av, bv = a_values(params), b_values(params)  # read once, not per coefficient
+    return f.restrict(lambda h: _exponent(av, bv, h) < budget)
 
 
 def eigenvalue_tail_bound(params: KorobovParams, n: int, eta: float) -> float:
